@@ -6,9 +6,10 @@
 // records_in counter shows the structural effect directly; wall time shows
 // the payoff.
 //
-// Results land in BENCH_pushdown.json. The run fails unless the declarative
-// build's join consumed at most half the records of the closure build — the
-// pushdown must demonstrably fire, in smoke mode too.
+// Results land in BENCH_pushdown.json (BENCH_pushdown.smoke.json with
+// --smoke). The run fails unless the declarative build's join consumed at
+// most half the records of the closure build — the pushdown must
+// demonstrably fire, in smoke mode too.
 //
 // Usage: ablation_pushdown [--smoke]   (--smoke: smaller dataset, one repeat)
 
@@ -139,7 +140,7 @@ void Run(bool smoke) {
       "keeps ~10%% of orders, so the join sees them pre-filtered.\n",
       ratio);
 
-  JsonResults json("pushdown");
+  JsonResults json("pushdown", "BENCH_pushdown.json", smoke);
   char row[256];
   std::snprintf(row, sizeof(row),
                 "{\"mode\": \"closure\", \"rows\": %d, \"customers\": %d, "
@@ -158,11 +159,7 @@ void Run(bool smoke) {
   std::snprintf(row, sizeof(row), "{\"mode\": \"ratio\", \"join_in\": %.4f}",
                 ratio);
   json.Add(row);
-  if (!json.WriteTo("BENCH_pushdown.json")) {
-    std::fprintf(stderr, "failed to write BENCH_pushdown.json\n");
-    std::exit(1);
-  }
-  std::printf("wrote BENCH_pushdown.json\n");
+  if (!json.Write()) std::exit(1);
 
   // The structural gate: pushdown must demonstrably fire. With a ~10%
   // selectivity filter pushed below the join, the declarative join reads

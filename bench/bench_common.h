@@ -75,9 +75,15 @@ class ResultTable {
 
 /// Collects pre-formatted JSON objects and writes a committed
 /// `BENCH_<name>.json` result file: {"bench": name, "results": [rows...]}.
+/// Smoke runs write `BENCH_<name>.smoke.json` instead, so a quick CI-sized
+/// run can never overwrite the recorded full-mode numbers.
 class JsonResults {
  public:
-  explicit JsonResults(std::string bench) : bench_(std::move(bench)) {}
+  /// `file` is the full-mode result file, "BENCH_<name>.json".
+  JsonResults(std::string bench, const std::string& file, bool smoke)
+      : bench_(std::move(bench)),
+        path_(smoke ? file.substr(0, file.rfind(".json")) + ".smoke.json"
+                    : file) {}
 
   void Add(std::string row_json) { rows_.push_back(std::move(row_json)); }
 
@@ -85,9 +91,13 @@ class JsonResults {
   /// before/after story of a re-recorded series). Must not contain quotes.
   void SetNote(std::string note) { note_ = std::move(note); }
 
-  bool WriteTo(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
+  /// Writes path() and prints where the results went; false on failure.
+  bool Write() const {
+    std::FILE* f = std::fopen(path_.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "failed to write %s\n", path_.c_str());
+      return false;
+    }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench_.c_str());
     if (!note_.empty()) {
       std::fprintf(f, "  \"note\": \"%s\",\n", note_.c_str());
@@ -99,11 +109,13 @@ class JsonResults {
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
+    std::printf("wrote %s\n", path_.c_str());
     return true;
   }
 
  private:
   std::string bench_;
+  std::string path_;
   std::string note_;
   std::vector<std::string> rows_;
 };

@@ -18,7 +18,8 @@
 //   wall(columnar fused @ 1 worker)  >= 1.5x over row serial.
 // Both gates apply in --smoke runs too (Release CI runs --smoke).
 //
-// Results land in BENCH_kernels.json.
+// Results land in BENCH_kernels.json (BENCH_kernels.smoke.json with
+// --smoke).
 //
 // Usage: kernel_throughput [--smoke]   (--smoke: small input, fewer widths)
 
@@ -230,7 +231,7 @@ void Run(bool smoke) {
                      "modeled_ms", "modeled_speedup"});
   table.AddRow({"serial", "1", Ms(static_cast<double>(serial.wall_us)), "1.0x",
                 Ms(static_cast<double>(serial.wall_us)), "1.0x"});
-  JsonResults json("kernel_throughput");
+  JsonResults json("kernel_throughput", "BENCH_kernels.json", smoke);
   json.SetNote(
       "re-recorded for the columnar engine: wall_us columns are measured "
       "wall clock on this host and the gates are wall-clock "
@@ -294,11 +295,8 @@ void Run(bool smoke) {
   }
 
   table.Print();
-  if (!json.WriteTo("BENCH_kernels.json")) {
-    std::fprintf(stderr, "failed to write BENCH_kernels.json\n");
-    std::exit(1);
-  }
-  std::printf("\nwrote BENCH_kernels.json\n");
+  std::printf("\n");
+  if (!json.Write()) std::exit(1);
   bool failed = false;
   if (columnar_fused_wall_at_4 < 2.5) {
     std::fprintf(stderr,

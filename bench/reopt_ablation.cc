@@ -16,10 +16,11 @@
 //           serial throughput here, so the plan stays on javasim end to end:
 //           zero boundary crossings, zero re-optimizations.
 //
-// Results land in BENCH_reopt.json. The run fails unless (a) the static plan
-// really moved the big intermediate and the warm plan moved nothing, (b) the
-// cold run re-optimized at least once and the warm run not at all, and
-// (c) warm beats static by >= 1.5x wall clock — in smoke mode too.
+// Results land in BENCH_reopt.json (BENCH_reopt.smoke.json with --smoke).
+// The run fails unless (a) the static plan really moved the big intermediate
+// and the warm plan moved nothing, (b) the cold run re-optimized at least
+// once and the warm run not at all, and (c) warm beats static by >= 1.5x
+// wall clock — in smoke mode too.
 //
 // Usage: reopt_ablation [--smoke]   (--smoke: smaller dataset, one repeat)
 
@@ -177,7 +178,7 @@ void Run(bool smoke) {
       "wide intermediate never crosses a platform boundary.\n",
       speedup);
 
-  JsonResults json("reopt");
+  JsonResults json("reopt", "BENCH_reopt.json", smoke);
   char row[192];
   auto add = [&](const char* mode, const RunResult& r) {
     std::snprintf(row, sizeof(row),
@@ -194,8 +195,7 @@ void Run(bool smoke) {
   std::snprintf(row, sizeof(row), "{\"mode\": \"speedup\", \"static_over_warm\": %.3f}",
                 speedup);
   json.Add(row);
-  if (!json.WriteTo("BENCH_reopt.json")) Fail("failed to write BENCH_reopt.json");
-  std::printf("wrote BENCH_reopt.json\n");
+  if (!json.Write()) std::exit(1);
 
   // Structural gates first: a timing win for the wrong reason is no win.
   if (stat.moved_records < n) {

@@ -5,8 +5,9 @@
 // freedom" includes not recomputing what the engine already knows (§6,
 // embracing hot data); this measures that end to end through the JobServer.
 //
-// Results land in BENCH_reuse.json. Outside --smoke the run fails unless the
-// warm path is at least 3x faster than the cold one.
+// Results land in BENCH_reuse.json (BENCH_reuse.smoke.json with --smoke).
+// Outside --smoke the run fails unless the warm path is at least 3x faster
+// than the cold one.
 //
 // Usage: result_reuse [--smoke]   (--smoke: smaller dataset, fewer repeats)
 
@@ -168,7 +169,7 @@ void Run(bool smoke) {
       static_cast<long long>(snap.counter("result_cache.inserts")));
   std::printf("\n-- warm-run EXPLAIN ANALYZE --\n%s\n", last.report.c_str());
 
-  JsonResults json("result_reuse");
+  JsonResults json("result_reuse", "BENCH_reuse.json", smoke);
   char row[320];
   std::snprintf(row, sizeof(row),
                 "{\"mode\": \"cold\", \"rows\": %d, \"wall_us\": %lld, "
@@ -188,11 +189,7 @@ void Run(bool smoke) {
                 static_cast<long long>(last.metrics.stages_reused),
                 static_cast<long long>(last.metrics.moved_records), speedup);
   json.Add(row);
-  if (!json.WriteTo("BENCH_reuse.json")) {
-    std::fprintf(stderr, "failed to write BENCH_reuse.json\n");
-    std::exit(1);
-  }
-  std::printf("wrote BENCH_reuse.json\n");
+  if (!json.Write()) std::exit(1);
   std::filesystem::remove_all(dir, ec);
 
   // The warm path must actually reuse: every stage from the cache, nothing

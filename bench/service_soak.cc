@@ -10,7 +10,8 @@
 //      total encoded size, proving pages are re-encoded one at a time
 //      rather than the whole result being buffered for the wire.
 //
-// `--smoke` shrinks the workload for CI. Results land in BENCH_soak.json.
+// `--smoke` shrinks the workload for CI. Results land in BENCH_soak.json
+// (BENCH_soak.smoke.json with --smoke).
 
 #include "bench/bench_common.h"
 
@@ -317,7 +318,7 @@ int Run(int argc, char** argv) {
   table.AddRow({"peak_rss_kib", std::to_string(peak_rss_kib)});
   table.Print();
 
-  JsonResults json("service_soak");
+  JsonResults json("service_soak", "BENCH_soak.json", smoke);
   json.SetNote(
       "N forked client processes against one NetServer over loopback TCP; "
       "latency is submit to first fetched page per job; stream_rss_growth "
@@ -340,11 +341,8 @@ int Run(int argc, char** argv) {
       static_cast<long long>(stream_growth_kib),
       static_cast<long long>(peak_rss_kib));
   json.Add(row);
-  if (!json.WriteTo("BENCH_soak.json")) {
-    std::fprintf(stderr, "failed to write BENCH_soak.json\n");
-    return 1;
-  }
-  std::printf("\nwrote BENCH_soak.json\n");
+  std::printf("\n");
+  if (!json.Write()) return 1;
 
   // --- gates ---------------------------------------------------------------
   bool failed = child_failed;

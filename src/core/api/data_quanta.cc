@@ -9,6 +9,10 @@ RheemJob::RheemJob(RheemContext* ctx)
     : ctx_(ctx), plan_(std::make_shared<Plan>()) {}
 
 DataQuanta RheemJob::LoadCollection(Dataset data) {
+  return LoadCollection(std::make_shared<const Dataset>(std::move(data)));
+}
+
+DataQuanta RheemJob::LoadCollection(std::shared_ptr<const Dataset> data) {
   auto* node = plan_->Add<GenericLogicalOp>({}, OpKind::kCollectionSource);
   node->source_data = std::move(data);
   return DataQuanta(this, node);
@@ -20,7 +24,7 @@ Result<DataQuanta> RheemJob::LoadFromStorage(
   if (buffer != nullptr && buffer->manager() == &manager) {
     RHEEM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> data,
                            buffer->Load(dataset));
-    return LoadCollection(*data);
+    return LoadCollection(std::move(data));
   }
   RHEEM_ASSIGN_OR_RETURN(Dataset data, manager.Load(dataset));
   return LoadCollection(std::move(data));
@@ -35,7 +39,7 @@ Result<DataQuanta> RheemJob::LoadFromStorage(const std::string& dataset) {
   }
   RHEEM_ASSIGN_OR_RETURN(std::shared_ptr<const Dataset> data,
                          buffer->Load(dataset));
-  return LoadCollection(*data);
+  return LoadCollection(std::move(data));
 }
 
 int DataQuanta::node_id() const { return node_ != nullptr ? node_->id() : -1; }

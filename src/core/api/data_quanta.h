@@ -182,6 +182,11 @@ class RheemJob {
   /// Starts a dataflow from an in-memory dataset.
   DataQuanta LoadCollection(Dataset data);
 
+  /// Same, sharing `data` instead of copying it: the plan, its physical
+  /// translation and any plan-cache entry all read this one table, which
+  /// must not be mutated afterwards. Null reads as an empty dataset.
+  DataQuanta LoadCollection(std::shared_ptr<const Dataset> data);
+
   /// Starts a dataflow from a dataset resident on the storage layer —
   /// locating it on whichever backend holds it (the processing/storage
   /// bridge between the paper's two abstractions). When `manager` is the one

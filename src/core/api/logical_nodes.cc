@@ -76,7 +76,7 @@ std::string GenericLogicalOp::FingerprintToken() const {
   t += "|cost=" + std::to_string(CostHint());
   switch (kind_) {
     case OpKind::kCollectionSource:
-      t += "|data=" + std::to_string(PlanFingerprint::OfDataset(source_data));
+      t += "|data=" + std::to_string(PlanFingerprint::OfShared(source_data));
       break;
     case OpKind::kFilter:
       // Declarative predicates fold their canonical encoding — including

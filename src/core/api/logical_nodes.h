@@ -65,7 +65,9 @@ class GenericLogicalOp : public LogicalOperator {
   std::string Detail() const;
 
   // --- payload slots (filled by the DataQuanta builder) -------------------
-  Dataset source_data;
+  /// CollectionSource table, shared read-only with the physical plan and
+  /// every plan-cache entry; null reads as an empty dataset.
+  std::shared_ptr<const Dataset> source_data;
   MapUdf map;
   FlatMapUdf flat_map;
   PredicateUdf predicate;

@@ -381,6 +381,11 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
   // a re-enumeration does not invalidate.
   std::map<std::pair<int, std::string>, std::shared_ptr<const Dataset>>
       conversion_cache;                              // guarded by `mu`
+  // One mutex per crossing edge, held while converting it: consumer stages
+  // sharing an edge convert it once, and the others wait, then hit
+  // conversion_cache instead of converting it again.
+  std::map<std::pair<int, std::string>, std::shared_ptr<std::mutex>>
+      edge_locks;                                    // guarded by `mu`
   std::set<std::pair<int, std::string>> moved_edges;  // guarded by `mu`
 
   // Platform health for failover: consecutive stage-attempt failures per
@@ -659,6 +664,14 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
             const auto edge =
                 std::make_pair(producer->id(), stage.platform()->name());
             if (serialize_boundaries) {
+              std::shared_ptr<std::mutex> edge_mu;
+              {
+                std::lock_guard<std::mutex> lock(mu);
+                auto& slot = edge_locks[edge];
+                if (slot == nullptr) slot = std::make_shared<std::mutex>();
+                edge_mu = slot;
+              }
+              std::lock_guard<std::mutex> converting(*edge_mu);
               std::shared_ptr<const Dataset> conv;
               {
                 std::lock_guard<std::mutex> lock(mu);
@@ -692,30 +705,18 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
               }
               auto shared = std::make_shared<const Dataset>(
                   std::move(decoded).ValueOrDie());
-              bool inserted = false;
               {
+                // Movement totals: once per (producer, platform) edge.
                 std::lock_guard<std::mutex> lock(mu);
-                auto emplaced = conversion_cache.emplace(edge, shared);
-                inserted = emplaced.second;
-                if (!inserted) {
-                  // Raced with another consumer: share the winner's
-                  // conversion and charge nothing — the edge was already
-                  // paid for.
-                  shared = emplaced.first->second;
-                  metrics.boundary_conversions_reused += 1;
-                } else {
-                  // Movement totals: once per (producer, platform) edge.
-                  metrics.moved_records += static_cast<int64_t>(data->size());
-                  metrics.moved_bytes += static_cast<int64_t>(wire.size());
-                  metrics.wall_micros += sw.ElapsedMicros();
-                }
+                conversion_cache[edge] = shared;
+                metrics.moved_records += static_cast<int64_t>(data->size());
+                metrics.moved_bytes += static_cast<int64_t>(wire.size());
+                metrics.wall_micros += sw.ElapsedMicros();
               }
-              if (inserted) {
-                CountIfEnabled(moved_records_counter,
-                               static_cast<int64_t>(data->size()));
-                CountIfEnabled(moved_bytes_counter,
-                               static_cast<int64_t>(wire.size()));
-              }
+              CountIfEnabled(moved_records_counter,
+                             static_cast<int64_t>(data->size()));
+              CountIfEnabled(moved_bytes_counter,
+                             static_cast<int64_t>(wire.size()));
               (*boundary)[producer->id()] = shared.get();
               held->push_back(std::move(shared));
               continue;

@@ -7,7 +7,7 @@ namespace rheem {
 
 std::string CollectionSourceOp::FingerprintToken() const {
   return kind_name() + "|data=" +
-         std::to_string(PlanFingerprint::OfDataset(data_));
+         std::to_string(PlanFingerprint::OfShared(data_));
 }
 
 std::string RepeatOp::FingerprintToken() const {

@@ -74,18 +74,25 @@ class PhysicalOperator : public Operator {
   virtual OpKind kind() const = 0;
 };
 
-/// In-memory dataset source.
+/// In-memory dataset source. The table is held by shared immutable
+/// reference: translating, caching or re-planning a plan never copies it,
+/// and its content hash is computed once per table object
+/// (PlanFingerprint::OfShared). A null table reads as an empty dataset.
 class CollectionSourceOp : public PhysicalOperator {
  public:
-  explicit CollectionSourceOp(Dataset data) : data_(std::move(data)) {}
+  explicit CollectionSourceOp(std::shared_ptr<const Dataset> data)
+      : data_(data != nullptr ? std::move(data)
+                              : std::make_shared<const Dataset>()) {}
+  explicit CollectionSourceOp(Dataset data)
+      : CollectionSourceOp(std::make_shared<const Dataset>(std::move(data))) {}
   OpKind kind() const override { return OpKind::kCollectionSource; }
   int arity() const override { return 0; }
   std::string FingerprintToken() const override;
-  const Dataset& data() const { return data_; }
-  Dataset* mutable_data() { return &data_; }
+  const Dataset& data() const { return *data_; }
+  const std::shared_ptr<const Dataset>& shared_data() const { return data_; }
 
  private:
-  Dataset data_;
+  std::shared_ptr<const Dataset> data_;
 };
 
 /// Placeholder bound by the executor when a stage consumes the output of an

@@ -43,6 +43,7 @@ struct SqlExpr {
 
   SqlExprPtr left;   // kBinary; sole child of kUnary / kAggregate
   SqlExprPtr right;  // kBinary only
+  int depth = 1;     // height of the tree rooted here; a leaf is 1
 };
 
 struct SelectItem {

@@ -37,8 +37,9 @@ Status InMemoryCatalog::Register(const std::string& name, Dataset data) {
                                    "' has no schema; SQL needs named, typed "
                                    "columns");
   }
+  auto table = std::make_shared<const Dataset>(std::move(data));
   std::lock_guard<std::mutex> lock(mu_);
-  tables_.insert_or_assign(UpperName(name), std::move(data));
+  tables_.insert_or_assign(UpperName(name), std::move(table));
   return Status::OK();
 }
 
@@ -50,7 +51,7 @@ Status InMemoryCatalog::Register(const std::string& name, Dataset data,
 
 Result<TableHandle> InMemoryCatalog::Load(RheemJob* job,
                                           const std::string& name) {
-  Dataset data;
+  std::shared_ptr<const Dataset> data;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = tables_.find(UpperName(name));
@@ -59,7 +60,7 @@ Result<TableHandle> InMemoryCatalog::Load(RheemJob* job,
     }
     data = it->second;
   }
-  Schema schema = data.schema();
+  Schema schema = data->schema();
   return TableHandle{job->LoadCollection(std::move(data)), std::move(schema)};
 }
 
@@ -80,13 +81,14 @@ Result<TableHandle> StorageCatalog::Load(RheemJob* job,
     return Status::NotFound("unknown table '" + name +
                             "': " + data.status().message());
   }
-  const Dataset& ds = *data.ValueOrDie();
-  if (!ds.has_schema()) {
+  std::shared_ptr<const Dataset> table = std::move(data).ValueOrDie();
+  if (!table->has_schema()) {
     return Status::InvalidArgument(
         "dataset '" + name +
         "' was stored without a schema; SQL needs named, typed columns");
   }
-  return TableHandle{job->LoadCollection(ds), ds.schema()};
+  Schema schema = table->schema();
+  return TableHandle{job->LoadCollection(std::move(table)), std::move(schema)};
 }
 
 }  // namespace sql

@@ -2,6 +2,7 @@
 #define RHEEM_CORE_SQL_CATALOG_H_
 
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -34,7 +35,11 @@ class Catalog {
 
 /// Catalog over registered in-memory datasets. Thread-safe: concurrent
 /// Load() calls (e.g. parallel SQL compilations against one context) and
-/// Register() calls may interleave freely.
+/// Register() calls may interleave freely. A registered table is shared
+/// read-only by every plan compiled against it, never copied per compile.
+/// Register() replaces the entry with a new table object: plans compiled
+/// before keep reading the old one, and plans compiled after hash the new
+/// one's content afresh.
 class InMemoryCatalog : public Catalog {
  public:
   /// Registers `data` under `name` (replacing any existing entry). The
@@ -47,13 +52,15 @@ class InMemoryCatalog : public Catalog {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, Dataset> tables_;  // keyed by upper-cased name
+  // Keyed by upper-cased name.
+  std::map<std::string, std::shared_ptr<const Dataset>> tables_;
 };
 
 /// Catalog over the context's attached storage layer: table `name` is the
 /// storage dataset of the same name, served through the hot-data buffer.
 /// The dataset must have been stored with a schema (CsvStore persists one
-/// as a `#schema` header row).
+/// as a `#schema` header row). Plans share the buffer's resident table
+/// rather than copying it.
 class StorageCatalog : public Catalog {
  public:
   Result<TableHandle> Load(RheemJob* job, const std::string& name) override;

@@ -1,5 +1,6 @@
 #include "core/sql/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <utility>
@@ -118,6 +119,36 @@ class Parser {
     return Status::OK();
   }
 
+  /// Counts one level of parser recursion (parentheses, unary operators,
+  /// aggregate arguments, subqueries) while in scope.
+  class Nesting {
+   public:
+    explicit Nesting(int* level) : level_(level) { ++*level_; }
+    ~Nesting() { --*level_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+    bool too_deep() const { return *level_ > kMaxExpressionDepth; }
+
+   private:
+    int* level_;
+  };
+
+  static Status TooDeep(const Token& t) {
+    return ErrorAt(t, "expression nested too deeply (limit " +
+                          std::to_string(kMaxExpressionDepth) + " levels)");
+  }
+
+  /// Finishes an operator node over its children: records its height and
+  /// rejects trees taller than the depth limit.
+  static Result<SqlExprPtr> WithDepth(const Token& op,
+                                      std::shared_ptr<SqlExpr> e) {
+    e->depth = 1 + std::max(e->left ? e->left->depth : 0,
+                            e->right ? e->right->depth : 0);
+    if (e->depth > kMaxExpressionDepth) return TooDeep(op);
+    return SqlExprPtr(std::move(e));
+  }
+
   /// The source text spanned by tokens [from, to_exclusive_end), trimmed.
   std::string Slice(const Token& from, const Token& upto) const {
     return std::string(TrimWhitespace(
@@ -205,6 +236,8 @@ class Parser {
     TableRef ref;
     ref.tok = Peek();
     if (TakeSymbol("(")) {
+      Nesting nested(&nesting_);
+      if (nested.too_deep()) return TooDeep(ref.tok);
       RHEEM_ASSIGN_OR_RETURN(auto sub, ParseSelectStmt());
       RHEEM_RETURN_IF_ERROR(ExpectSymbol(")"));
       ref.subquery = std::shared_ptr<const SelectStmt>(std::move(sub));
@@ -233,15 +266,15 @@ class Parser {
 
   Result<SqlExprPtr> ParseExpr() { return ParseOr(); }
 
-  std::shared_ptr<SqlExpr> MakeBinary(const Token& op, SqlExprPtr l,
-                                      SqlExprPtr r) {
+  static Result<SqlExprPtr> MakeBinary(const Token& op, SqlExprPtr l,
+                                       SqlExprPtr r) {
     auto e = std::make_shared<SqlExpr>();
     e->kind = SqlExprKind::kBinary;
     e->tok = op;
     e->name = op.text;
     e->left = std::move(l);
     e->right = std::move(r);
-    return e;
+    return WithDepth(op, std::move(e));
   }
 
   Result<SqlExprPtr> ParseOr() {
@@ -249,7 +282,8 @@ class Parser {
     while (Peek().IsKeyword("OR")) {
       const Token op = Take();
       RHEEM_ASSIGN_OR_RETURN(SqlExprPtr right, ParseAnd());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      RHEEM_ASSIGN_OR_RETURN(left,
+                             MakeBinary(op, std::move(left), std::move(right)));
     }
     return left;
   }
@@ -259,7 +293,8 @@ class Parser {
     while (Peek().IsKeyword("AND")) {
       const Token op = Take();
       RHEEM_ASSIGN_OR_RETURN(SqlExprPtr right, ParseNot());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      RHEEM_ASSIGN_OR_RETURN(left,
+                             MakeBinary(op, std::move(left), std::move(right)));
     }
     return left;
   }
@@ -267,13 +302,15 @@ class Parser {
   Result<SqlExprPtr> ParseNot() {
     if (Peek().IsKeyword("NOT")) {
       const Token op = Take();
+      Nesting nested(&nesting_);
+      if (nested.too_deep()) return TooDeep(op);
       RHEEM_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseNot());
       auto e = std::make_shared<SqlExpr>();
       e->kind = SqlExprKind::kUnary;
       e->tok = op;
       e->name = "NOT";
       e->left = std::move(inner);
-      return SqlExprPtr(std::move(e));
+      return WithDepth(op, std::move(e));
     }
     return ParseComparison();
   }
@@ -288,7 +325,8 @@ class Parser {
            t.text == ">" || t.text == ">=")) {
         const Token op = Take();
         RHEEM_ASSIGN_OR_RETURN(SqlExprPtr right, ParseAdditive());
-        left = MakeBinary(op, std::move(left), std::move(right));
+        RHEEM_ASSIGN_OR_RETURN(
+            left, MakeBinary(op, std::move(left), std::move(right)));
         continue;
       }
       return left;
@@ -300,7 +338,8 @@ class Parser {
     while (Peek().IsSymbol("+") || Peek().IsSymbol("-")) {
       const Token op = Take();
       RHEEM_ASSIGN_OR_RETURN(SqlExprPtr right, ParseMultiplicative());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      RHEEM_ASSIGN_OR_RETURN(left,
+                             MakeBinary(op, std::move(left), std::move(right)));
     }
     return left;
   }
@@ -311,7 +350,8 @@ class Parser {
            Peek().IsSymbol("%")) {
       const Token op = Take();
       RHEEM_ASSIGN_OR_RETURN(SqlExprPtr right, ParseUnary());
-      left = MakeBinary(op, std::move(left), std::move(right));
+      RHEEM_ASSIGN_OR_RETURN(left,
+                             MakeBinary(op, std::move(left), std::move(right)));
     }
     return left;
   }
@@ -332,6 +372,8 @@ class Parser {
                          : Value(-lit->literal.int64_unchecked());
         return SqlExprPtr(std::move(e));
       }
+      Nesting nested(&nesting_);
+      if (nested.too_deep()) return TooDeep(op);
       RHEEM_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseUnary());
       auto zero = std::make_shared<SqlExpr>();
       zero->kind = SqlExprKind::kLiteral;
@@ -339,8 +381,7 @@ class Parser {
       zero->literal = Value(static_cast<int64_t>(0));
       Token minus = op;
       minus.text = "-";
-      return SqlExprPtr(
-          MakeBinary(minus, SqlExprPtr(std::move(zero)), std::move(inner)));
+      return MakeBinary(minus, SqlExprPtr(std::move(zero)), std::move(inner));
     }
     return ParsePrimary();
   }
@@ -369,6 +410,8 @@ class Parser {
         return ParseIdentExpr();
       case TokenKind::kSymbol:
         if (t.text == "(") {
+          Nesting nested(&nesting_);
+          if (nested.too_deep()) return TooDeep(t);
           Take();
           RHEEM_ASSIGN_OR_RETURN(SqlExprPtr inner, ParseExpr());
           RHEEM_RETURN_IF_ERROR(ExpectSymbol(")"));
@@ -422,10 +465,12 @@ class Parser {
           }
           e->agg_star = true;
         } else {
+          Nesting nested(&nesting_);
+          if (nested.too_deep()) return TooDeep(tok);
           RHEEM_ASSIGN_OR_RETURN(e->left, ParseExpr());
         }
         RHEEM_RETURN_IF_ERROR(ExpectSymbol(")"));
-        return SqlExprPtr(std::move(e));
+        return WithDepth(tok, std::move(e));
       }
       return ErrorAt(tok, "unknown function '" + tok.raw + "'");
     }
@@ -455,6 +500,7 @@ class Parser {
   const std::string& query_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int nesting_ = 0;  // current recursion level, see Nesting
 };
 
 }  // namespace

@@ -1,10 +1,18 @@
 #include "core/optimizer/fingerprint.h"
 
+#include <map>
+#include <memory>
+#include <new>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/api/data_quanta.h"
 #include "core/expr/expr.h"
 #include "core/operators/physical_ops.h"
+#include "core/service/job_server.h"
+#include "core/sql/sql.h"
 
 namespace rheem {
 namespace {
@@ -154,6 +162,102 @@ TEST(FingerprintTest, DatasetHashCoversContent) {
   const uint64_t c = PlanFingerprint::OfDataset(Numbers(6));
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+TEST(FingerprintTest, SharedTableHashEqualsDatasetHash) {
+  auto table = std::make_shared<const Dataset>(Numbers(5));
+  EXPECT_EQ(PlanFingerprint::OfShared(table),
+            PlanFingerprint::OfDataset(Numbers(5)));
+  // The memoized second call agrees with the first.
+  EXPECT_EQ(PlanFingerprint::OfShared(table),
+            PlanFingerprint::OfDataset(Numbers(5)));
+  EXPECT_EQ(PlanFingerprint::OfShared(nullptr),
+            PlanFingerprint::OfDataset(Dataset()));
+}
+
+TEST(FingerprintTest, ReallocatedTableGetsFreshHash) {
+  // Tables constructed in one storage slot: the second lives at the freed
+  // first one's address, which must not return the first one's memoized
+  // hash.
+  alignas(Dataset) unsigned char slot[sizeof(Dataset)];
+  auto in_slot = [&slot](int n) {
+    return std::shared_ptr<const Dataset>(
+        new (slot) Dataset(Numbers(n)),
+        [](const Dataset* d) { d->~Dataset(); });
+  };
+  auto old_table = in_slot(5);
+  ASSERT_EQ(PlanFingerprint::OfShared(old_table),
+            PlanFingerprint::OfDataset(Numbers(5)));
+  old_table.reset();
+  auto new_table = in_slot(6);
+  ASSERT_EQ(static_cast<const void*>(new_table.get()), slot);
+  EXPECT_EQ(PlanFingerprint::OfShared(new_table),
+            PlanFingerprint::OfDataset(Numbers(6)));
+}
+
+TEST(FingerprintTest, SourceOpsShareTheTableAndItsHash) {
+  auto table = std::make_shared<const Dataset>(Numbers(10));
+  CollectionSourceOp physical(table);
+  GenericLogicalOp logical(OpKind::kCollectionSource);
+  logical.source_data = table;
+  EXPECT_EQ(physical.shared_data(), table);  // no copy
+  EXPECT_EQ(physical.FingerprintToken(),
+            CollectionSourceOp(Numbers(10)).FingerprintToken());
+  EXPECT_NE(physical.FingerprintToken(),
+            CollectionSourceOp(Numbers(11)).FingerprintToken());
+  GenericLogicalOp copied(OpKind::kCollectionSource);
+  copied.source_data = std::make_shared<const Dataset>(Numbers(10));
+  EXPECT_EQ(logical.FingerprintToken(), copied.FingerprintToken());
+}
+
+TEST(FingerprintTest, ConcurrentSqlOverOneSharedTable) {
+  // Several threads compile and run SQL through the JobServer over one
+  // registered table, so every compile fingerprints the same shared object
+  // concurrently (run under TSan in CI).
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  std::vector<Record> rows;
+  for (int i = 0; i < 2000; ++i) {
+    rows.push_back(Record({Value(static_cast<int64_t>(i % 7)),
+                           Value(static_cast<int64_t>(i))}));
+  }
+  sql::InMemoryCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Register("t", Dataset(std::move(rows)),
+                            Schema::Of({{"k", ValueType::kInt64},
+                                        {"v", ValueType::kInt64}}))
+                  .ok());
+  // Expected SUM(v) per k for v > threshold, computed directly.
+  auto expected = [](int64_t threshold) {
+    std::map<int64_t, int64_t> sums;
+    for (int64_t i = threshold + 1; i < 2000; ++i) sums[i % 7] += i;
+    return sums;
+  };
+  constexpr int kThreads = 4;
+  constexpr int kQueriesPerThread = 6;
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int q = 0; q < kQueriesPerThread; ++q) {
+        const int64_t threshold = 100 * ((t + q) % 3);
+        auto handle = ctx.SubmitSql(
+            "SELECT k, SUM(v) FROM t WHERE v > " + std::to_string(threshold) +
+                " GROUP BY k",
+            catalog);
+        if (!handle.ok()) { ++failures[t]; continue; }
+        auto result = handle->Wait();
+        if (!result.ok()) { ++failures[t]; continue; }
+        std::map<int64_t, int64_t> got;
+        for (const Record& r : result->output.records()) {
+          got[r[0].ToInt64Or(-1)] = r[1].ToInt64Or(-1);
+        }
+        if (got != expected(threshold)) ++failures[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
 }
 
 }  // namespace

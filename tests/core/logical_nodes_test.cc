@@ -1,5 +1,7 @@
 #include "core/api/logical_nodes.h"
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "core/api/context.h"
@@ -103,14 +105,15 @@ TEST(TranslationTest, AllGenericKindsTranslate) {
   auto* src = logical.Add<GenericLogicalOp>({}, OpKind::kCollectionSource);
   std::vector<Record> rows;
   for (int i = 0; i < 4; ++i) rows.push_back(Record({Value(i)}));
-  src->source_data = Dataset(std::move(rows));
+  src->source_data = std::make_shared<const Dataset>(std::move(rows));
   auto* map = logical.Add<GenericLogicalOp>({src}, OpKind::kMap);
   map->map.fn = [](const Record& r) { return r; };
   auto* topk = logical.Add<GenericLogicalOp>({map}, OpKind::kTopK);
   topk->key.fn = [](const Record& r) { return r[0]; };
   topk->topk = 2;
   auto* other = logical.Add<GenericLogicalOp>({}, OpKind::kCollectionSource);
-  other->source_data = Dataset(std::vector<Record>{Record({Value(1)})});
+  other->source_data =
+      std::make_shared<const Dataset>(std::vector<Record>{Record({Value(1)})});
   auto* inter = logical.Add<GenericLogicalOp>({topk, other}, OpKind::kIntersect);
   auto* sub = logical.Add<GenericLogicalOp>({inter, other}, OpKind::kSubtract);
   auto* sink = logical.Add<GenericLogicalOp>({sub}, OpKind::kCollect);
@@ -121,12 +124,23 @@ TEST(TranslationTest, AllGenericKindsTranslate) {
   ASSERT_TRUE(physical.ok()) << physical.status().ToString();
   EXPECT_EQ((*physical)->size(), logical.size());
   EXPECT_TRUE((*physical)->Validate().ok());
+  // Translation shares each source table with the logical plan, never
+  // copies it.
+  std::set<const Dataset*> tables;
+  for (std::size_t i = 0; i < (*physical)->size(); ++i) {
+    if (auto* s = dynamic_cast<CollectionSourceOp*>((*physical)->op(i))) {
+      tables.insert(s->shared_data().get());
+    }
+  }
+  EXPECT_EQ(tables, (std::set<const Dataset*>{src->source_data.get(),
+                                              other->source_data.get()}));
 }
 
 TEST(TranslationTest, PinnedPlatformsSurfaceInPinsMap) {
   Plan logical;
   auto* src = logical.Add<GenericLogicalOp>({}, OpKind::kCollectionSource);
-  src->source_data = Dataset(std::vector<Record>{Record({Value(1)})});
+  src->source_data =
+      std::make_shared<const Dataset>(std::vector<Record>{Record({Value(1)})});
   src->pinned_platform = "sparksim";
   auto* sink = logical.Add<GenericLogicalOp>({src}, OpKind::kCollect);
   logical.SetSink(sink);

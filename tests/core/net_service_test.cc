@@ -375,6 +375,47 @@ TEST_F(NetServiceTest, BadSqlFailsButConnectionSurvives) {
   EXPECT_TRUE(client.Bye().ok());
 }
 
+TEST_F(NetServiceTest, DeeplyNestedSqlFailsButServerSurvives) {
+  // Hostile nesting far past the parser's depth limit, well inside the
+  // SUBMIT size limit: the compile fails with a positioned error instead of
+  // overflowing the connection thread's stack.
+  StartServer();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", port_).ok());
+  constexpr int kDepth = 100000;
+  std::string parens = "SELECT ";
+  parens.append(kDepth, '(');
+  parens += "id";
+  parens.append(kDepth, ')');
+  parens += " FROM emp";
+  std::string chain = "SELECT id";
+  for (int i = 0; i < kDepth; ++i) chain += "+id";
+  chain += " FROM emp";
+  for (const std::string& query : {parens, chain}) {
+    auto bad = client.SubmitSql(query);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status().ToString();
+    EXPECT_NE(bad.status().message().find("nested too deeply"),
+              std::string::npos)
+        << bad.status().ToString();
+  }
+  // The same connection, and a new one, still serve queries.
+  auto good = client.SubmitSql("SELECT id FROM emp WHERE id < 3");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  auto rows = client.FetchAll(*good);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 3u);
+  EXPECT_TRUE(client.Bye().ok());
+  Client second;
+  ASSERT_TRUE(second.Connect("127.0.0.1", port_).ok());
+  auto again = second.SubmitSql("SELECT id FROM emp WHERE id < 2");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto more = second.FetchAll(*again);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_EQ(more->size(), 2u);
+  EXPECT_TRUE(second.Bye().ok());
+}
+
 TEST_F(NetServiceTest, ExpiredDeadlineResolvesDeadlineExceededOverTheWire) {
   StartServer();
   Client client;

@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include "core/api/context.h"
 #include "core/executor/executor.h"
 #include "core/operators/physical_ops.h"
 #include "core/optimizer/enumerator.h"
+#include "core/optimizer/fingerprint.h"
+#include "core/service/job_server.h"
+#include "core/sql/sql.h"
 #include "platforms/javasim/javasim_platform.h"
 #include "platforms/sparksim/sparksim_platform.h"
+#include "storage/mem_column_store.h"
 
 namespace rheem {
 namespace {
@@ -305,6 +310,87 @@ TEST_F(ExecutorResultCacheTest,
   EXPECT_EQ(result->metrics.boundary_conversions_reused, 1);
   // moved_records: src crosses once (10), ma and mb cross back (10 each).
   EXPECT_EQ(result->metrics.moved_records, 30);
+}
+
+/// Runs one SQL query through the context's JobServer (plan and result
+/// caches on) and returns its plan fingerprint, output and reuse count.
+struct SqlRun {
+  uint64_t fingerprint = 0;
+  Dataset output;
+  int64_t stages_reused = -1;
+};
+
+SqlRun RunSql(RheemContext* ctx, sql::Catalog* catalog,
+              const std::string& query) {
+  SqlRun run;
+  auto stmt = ctx->Sql(query, *catalog);
+  EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+  if (!stmt.ok()) return run;
+  run.fingerprint = PlanFingerprint::Compute(stmt->plan()).ValueOr(0);
+  auto handle = ctx->SubmitSql(query, *catalog);
+  EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+  if (!handle.ok()) return run;
+  auto result = handle->Wait();
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return run;
+  run.output = result->output;
+  run.stages_reused = result->metrics.stages_reused;
+  return run;
+}
+
+Dataset Table(int n, int offset) {
+  Dataset data = Numbers(n, offset);
+  data.set_schema(Schema::Of({{"x", ValueType::kInt64}}));
+  return data;
+}
+
+TEST(ResultCacheTest, RewrittenStorageTableMissesEveryCache) {
+  // Storage tables reach plans as the hot buffer's shared object, hashed once
+  // per object. A Put through the manager drops the buffered object, so the
+  // next compile shares a new one: a new fingerprint, no stale reuse.
+  storage::StorageManager manager;
+  ASSERT_TRUE(
+      manager.RegisterBackend(std::make_unique<storage::MemColumnStore>())
+          .ok());
+  ASSERT_TRUE(manager.Put("mem-column", "t", Table(10, 0)).ok());
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  ASSERT_TRUE(ctx.AttachStorage(&manager).ok());
+  sql::StorageCatalog catalog;
+  const std::string query = "SELECT x + 1 FROM t WHERE x > 2";
+
+  SqlRun cold = RunSql(&ctx, &catalog, query);
+  SqlRun warm = RunSql(&ctx, &catalog, query);
+  EXPECT_EQ(warm.fingerprint, cold.fingerprint);
+  EXPECT_GT(warm.stages_reused, 0);
+
+  // Same row count and schema, different content.
+  ASSERT_TRUE(manager.Put("mem-column", "t", Table(10, 100)).ok());
+  SqlRun fresh = RunSql(&ctx, &catalog, query);
+  EXPECT_NE(fresh.fingerprint, cold.fingerprint);
+  EXPECT_EQ(fresh.stages_reused, 0);
+  ASSERT_EQ(fresh.output.size(), 10u);
+  EXPECT_EQ(fresh.output.at(0)[0], Value(101));
+}
+
+TEST(ResultCacheTest, ReregisteredCatalogTableMissesEveryCache) {
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  sql::InMemoryCatalog catalog;
+  ASSERT_TRUE(catalog.Register("t", Table(10, 0)).ok());
+  const std::string query = "SELECT x + 1 FROM t WHERE x > 2";
+
+  SqlRun cold = RunSql(&ctx, &catalog, query);
+  SqlRun warm = RunSql(&ctx, &catalog, query);
+  EXPECT_EQ(warm.fingerprint, cold.fingerprint);
+  EXPECT_GT(warm.stages_reused, 0);
+
+  ASSERT_TRUE(catalog.Register("t", Table(10, 100)).ok());
+  SqlRun fresh = RunSql(&ctx, &catalog, query);
+  EXPECT_NE(fresh.fingerprint, cold.fingerprint);
+  EXPECT_EQ(fresh.stages_reused, 0);
+  ASSERT_EQ(fresh.output.size(), 10u);
+  EXPECT_EQ(fresh.output.at(0)[0], Value(101));
 }
 
 }  // namespace

@@ -294,6 +294,95 @@ TEST_F(SqlFrontendTest, PrettyRoundTripsRandomTrees) {
   }
 }
 
+// --- expression depth limit --------------------------------------------------
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  out.reserve(piece.size() * static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) out += piece;
+  return out;
+}
+
+TEST_F(SqlFrontendTest, ExpressionsAtTheDepthLimitRunEndToEnd) {
+  constexpr int kMax = sql::kMaxExpressionDepth;
+  // Each shape at exactly the limit: a left-deep chain (kMax levels), kMax
+  // nested parentheses, and kMax - 1 unary minuses (each one 0 - operand,
+  // over the leaf).
+  const std::string chain = "id" + Repeat("+id", kMax - 1);
+  const std::string parens = Repeat("(", kMax) + "id" + Repeat(")", kMax);
+  const std::string negations = Repeat("- ", kMax - 1) + "id";
+  const std::string nots = Repeat("NOT ", kMax - 2) + "(id = 2)";
+  struct Case {
+    std::string text;
+    Value expected;  // over the row with id = 2
+  };
+  for (const Case& c :
+       {Case{chain, Value(static_cast<int64_t>(2 * kMax))},
+        Case{parens, Value(static_cast<int64_t>(2))},
+        Case{negations, Value(static_cast<int64_t>(kMax % 2 == 0 ? -2 : 2))},
+        Case{nots, Value(kMax % 2 == 0)}}) {
+    auto stmt = ctx_.Sql("SELECT " + c.text + " FROM emp WHERE id = 2",
+                         catalog_);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto rows = stmt->Collect();  // Eval over the deep tree
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), 1u);
+    EXPECT_EQ(rows->at(0)[0], c.expected);
+
+    // TypeCheck, Canonical and Pretty recurse over the same tree.
+    const Schema schema = Schema::Of({{"id", ValueType::kInt64}});
+    auto tree = sql::ParseExpression(c.text, schema);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    EXPECT_TRUE(expr::TypeCheck(**tree).ok());
+    EXPECT_EQ(expr::Eval(**tree, Record({Value(2)})), c.expected);
+    EXPECT_FALSE(Canonical(**tree).empty());
+    EXPECT_FALSE(Pretty(**tree).empty());
+  }
+}
+
+TEST_F(SqlFrontendTest, ExpressionsPastTheDepthLimitAreRejectedWithPosition) {
+  constexpr int kMax = sql::kMaxExpressionDepth;
+  const std::string too_deep =
+      "expression nested too deeply (limit " + std::to_string(kMax) +
+      " levels)";
+  // "SELECT id+id+...": the kMax-th '+' (column 10 + 3 * (kMax - 1)) would
+  // build a tree of height kMax + 1.
+  auto chain =
+      sql::ParseSelect("SELECT id" + Repeat("+id", kMax) + " FROM emp");
+  ASSERT_FALSE(chain.ok());
+  EXPECT_EQ(chain.status().message(),
+            "1:" + std::to_string(10 + 3 * (kMax - 1)) + ": " + too_deep);
+  // The (kMax + 1)-th opening parenthesis is one level too many.
+  auto parens = sql::ParseSelect("SELECT " + Repeat("(", kMax + 1) + "id" +
+                                 Repeat(")", kMax + 1) + " FROM emp");
+  ASSERT_FALSE(parens.ok());
+  EXPECT_EQ(parens.status().message(),
+            "1:" + std::to_string(8 + kMax) + ": " + too_deep);
+
+  // Hostile inputs far past the limit fail cleanly instead of overflowing
+  // the stack — in the parser, and in every recursion downstream of it.
+  constexpr int kHostile = 100000;
+  for (const std::string& query : {
+           "SELECT " + Repeat("(", kHostile) + "id" + Repeat(")", kHostile) +
+               " FROM emp",
+           "SELECT id" + Repeat("+id", kHostile) + " FROM emp",
+           "SELECT id FROM emp WHERE " + Repeat("id = 1 OR ", kHostile) +
+               "id = 2",
+           "SELECT " + Repeat("- ", kHostile) + "id FROM emp",
+           "SELECT id FROM emp WHERE " + Repeat("NOT ", kHostile) + "id = 2",
+           "SELECT " + Repeat("SUM(", kHostile) + "id" + Repeat(")", kHostile) +
+               " FROM emp",
+           Repeat("SELECT * FROM (", kHostile) + "SELECT * FROM emp" +
+               Repeat(")", kHostile),
+       }) {
+    auto stmt = ctx_.Sql(query, catalog_);
+    ASSERT_FALSE(stmt.ok()) << query.substr(0, 60);
+    EXPECT_TRUE(stmt.status().IsInvalidArgument()) << stmt.status().ToString();
+    EXPECT_NE(stmt.status().message().find(too_deep), std::string::npos)
+        << stmt.status().ToString();
+  }
+}
+
 // --- string literal quoting across the dialect ------------------------------
 
 TEST_F(SqlFrontendTest, StringLiteralQuotingAndNonAsciiBytes) {

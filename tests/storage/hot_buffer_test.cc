@@ -6,6 +6,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/api/context.h"
+#include "core/operators/physical_ops.h"
+#include "core/sql/sql.h"
 #include "storage/mem_column_store.h"
 
 namespace rheem {
@@ -141,6 +144,46 @@ TEST_F(HotBufferTest, ClearEmptiesEverything) {
   buffer.Clear();
   EXPECT_EQ(buffer.resident_entries(), 0u);
   EXPECT_EQ(buffer.resident_bytes(), 0);
+}
+
+TEST_F(HotBufferTest, CompiledSourcesShareTheBufferedTable) {
+  // SQL over the storage catalog and LoadFromStorage both compile to a
+  // physical source holding the buffer's resident table, not a copy.
+  ASSERT_TRUE(manager_
+                  .Put("mem-column", "people",
+                       Dataset({Record({Value("ada"), Value(36)}),
+                                Record({Value("grace"), Value(45)})},
+                               Schema::Of({{"name", ValueType::kString},
+                                           {"age", ValueType::kInt64}})))
+                  .ok());
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  ASSERT_TRUE(ctx.AttachStorage(&manager_).ok());
+  auto resident = ctx.hot_buffer()->Load("people");
+  ASSERT_TRUE(resident.ok());
+  auto source_table = [&ctx](const Plan& logical) -> const Dataset* {
+    auto compiled = ctx.Compile(logical);
+    EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+    if (!compiled.ok()) return nullptr;
+    for (std::size_t i = 0; i < compiled->physical->size(); ++i) {
+      if (auto* src = dynamic_cast<const CollectionSourceOp*>(
+              compiled->physical->op(i))) {
+        return src->shared_data().get();
+      }
+    }
+    return nullptr;
+  };
+
+  auto stmt = ctx.Sql("SELECT name FROM people WHERE age > 40");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(source_table(stmt->plan()), resident->get());
+
+  RheemJob job(&ctx);
+  auto loaded = job.LoadFromStorage("people");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto sealed = loaded->Seal();
+  ASSERT_TRUE(sealed.ok());
+  EXPECT_EQ(source_table(**sealed), resident->get());
 }
 
 TEST_F(HotBufferTest, MissingDatasetPropagatesError) {
