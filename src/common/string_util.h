@@ -34,8 +34,7 @@ std::string FormatBytes(int64_t bytes);
 /// Renders `s` as a SQL single-quoted string literal with embedded quotes
 /// doubled ("O'Brien" -> 'O''Brien'). Bytes outside ASCII pass through
 /// untouched, so UTF-8 (or arbitrary binary) payloads round-trip through the
-/// SQL frontends byte-for-byte. Shared by the core SQL dialect and relsim's
-/// SQL generation so the two never drift on quoting.
+/// SQL frontend byte-for-byte. For callers that splice values into SQL text.
 std::string SqlQuoteString(std::string_view s);
 
 }  // namespace rheem

@@ -29,7 +29,7 @@
 #include "core/executor/result_cache.h"
 #include "core/operators/physical_ops.h"
 #include "core/optimizer/cardinality.h"
-#include "core/optimizer/cost_learner.h"
+#include "core/optimizer/cost_model.h"
 #include "core/optimizer/enumerator.h"
 #include "core/optimizer/stats_catalog.h"
 #include "data/serialization.h"
@@ -857,8 +857,7 @@ Result<ExecutionResult> CrossPlatformExecutor::Execute(
             }
             observe_outputs_locked(stage, shared_outs);
             if (stats_catalog_ != nullptr) {
-              auto est_cost =
-                  CostCalibrator::EstimateStageCost(stage, live_estimates);
+              auto est_cost = EstimateStageCost(stage, live_estimates);
               if (est_cost.ok()) est_stage_cost = *est_cost;
             }
           }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/optimizer/stage_splitter.h"
+
 namespace rheem {
 
 UdfHints HintsOf(const PhysicalOperator& op) {
@@ -134,6 +136,33 @@ double BasicCostModel::OperatorCostMicros(const PhysicalOperator& op,
       return 0.0;
   }
   return in0 * q / par;
+}
+
+Result<double> EstimateStageCost(const Stage& stage,
+                                 const EstimateMap& estimates) {
+  const PlatformCostModel& model = stage.platform()->cost_model();
+  double total = model.StageOverheadMicros();
+  for (Operator* base : stage.ops()) {
+    auto* op = dynamic_cast<PhysicalOperator*>(base);
+    if (op == nullptr) {
+      return Status::InvalidPlan("stage contains a non-physical operator");
+    }
+    auto self = estimates.find(op->id());
+    if (self == estimates.end()) {
+      return Status::InvalidArgument("missing estimate for operator " +
+                                     op->name());
+    }
+    std::vector<double> in_cards;
+    for (Operator* in : op->inputs()) {
+      auto it = estimates.find(in->id());
+      in_cards.push_back(it != estimates.end() ? it->second.cardinality : 0.0);
+    }
+    const auto* mapping = stage.platform()->mappings().Find(*op);
+    const double weight = mapping != nullptr ? mapping->cost_weight : 1.0;
+    total += weight *
+             model.OperatorCostMicros(*op, in_cards, self->second.cardinality);
+  }
+  return total;
 }
 
 }  // namespace rheem

@@ -4,9 +4,13 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "core/operators/physical_ops.h"
+#include "core/optimizer/cardinality.h"
 
 namespace rheem {
+
+class Stage;  // core/optimizer/stage_splitter.h
 
 /// \brief Pluggable per-platform cost model (paper §4.2, requirement 2: cost
 /// models are plugins registered with the optimizer, never hard-coded).
@@ -97,6 +101,14 @@ struct UdfHints {
   double cost_factor = 1.0;
 };
 UdfHints HintsOf(const PhysicalOperator& op);
+
+/// Estimated execution cost of one stage under its platform's cost model and
+/// the given cardinalities: the operator costs (scaled by their mapping
+/// weights) plus the platform's fixed stage overhead. The executor divides a
+/// stage's measured time by this to calibrate the StatisticsCatalog's
+/// per-(operator, platform) cost factors.
+Result<double> EstimateStageCost(const Stage& stage,
+                                 const EstimateMap& estimates);
 
 }  // namespace rheem
 

@@ -31,8 +31,8 @@ namespace rheem {
 /// platform assignment transfers to every enumeration alternative.
 ///
 /// Cost factors are geometric means of observed/estimated cost ratios per
-/// (operator kind, platform) — the same discipline as CostCalibrator, but
-/// persistent and at operator granularity.
+/// (operator kind, platform), where the estimate is EstimateStageCost
+/// (cost_model.h) of the stage the operator ran in.
 ///
 /// Persistence uses the checkpoint framing discipline (RCKP1-style): a
 /// magic ("RSTC1") plus 16 lowercase-hex FNV-1a digits over the payload.

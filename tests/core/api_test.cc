@@ -6,6 +6,7 @@
 
 #include "common/fault.h"
 #include "core/api/context.h"
+#include "storage/mem_column_store.h"
 
 namespace rheem {
 namespace {
@@ -340,6 +341,27 @@ TEST_F(ApiTest, FailureInjectionThroughFaultInjector) {
   FaultInjector::Global().Clear();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(fired, 1);  // first attempt failed, the retry recovered
+}
+
+TEST(LoadFromStorageTest, BridgesStorageIntoDataflow) {
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  storage::StorageManager manager;
+  ASSERT_TRUE(
+      manager.RegisterBackend(std::make_unique<storage::MemColumnStore>())
+          .ok());
+  ASSERT_TRUE(manager.Put("mem-column", "numbers", Numbers(10)).ok());
+  RheemJob job(&ctx);
+  auto quanta = job.LoadFromStorage(manager, "numbers");
+  ASSERT_TRUE(quanta.ok()) << quanta.status().ToString();
+  auto out = quanta->Filter([](const Record& r) {
+                     return r[0].ToInt64Or(0) >= 5;
+                   })
+                 .Collect();
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->size(), 5u);
+
+  EXPECT_TRUE(job.LoadFromStorage(manager, "ghost").status().IsNotFound());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/optimizer/channel.h"
+#include "core/optimizer/stage_splitter.h"
 #include "core/plan/plan.h"
 #include "platforms/javasim/javasim_platform.h"
 #include "platforms/sparksim/sparksim_platform.h"
@@ -133,6 +134,34 @@ TEST(PlatformCostProfileTest, SparkHasHeavyFixedOverheads) {
   EXPECT_GT(spark.cost_model().JobOverheadMicros(), 1000.0);
   EXPECT_GT(spark.cost_model().StageOverheadMicros(),
             java.cost_model().StageOverheadMicros());
+}
+
+TEST(CostModelTest, EstimateStageCostSumsOperators) {
+  Config config;
+  JavaSimPlatform java(config);
+  Plan plan;
+  std::vector<Record> rows;
+  for (int i = 0; i < 1000; ++i) rows.push_back(Record({Value(i)}));
+  auto* src = plan.Add<CollectionSourceOp>({}, Dataset(std::move(rows)));
+  auto* m = plan.Add<MapOp>({src}, ExpensiveMap(10.0));
+  auto* sink = plan.Add<CollectOp>({m});
+  plan.SetSink(sink);
+  PlatformAssignment a;
+  a.by_op = {{src->id(), &java}, {m->id(), &java}, {sink->id(), &java}};
+  auto eplan = StageSplitter::Split(plan, std::move(a)).ValueOrDie();
+  auto estimates = CardinalityEstimator::Estimate(plan).ValueOrDie();
+  auto cost = EstimateStageCost(eplan.stages[0], estimates);
+  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+  // Dominated by the expensive map: 1000 quanta x 0.03us x 10, discounted by
+  // javasim's modeled fusion (0.75) and morsel parallelism (3x) -> ~75us.
+  EXPECT_GT(*cost, 60.0);
+  EXPECT_LT(*cost, 120.0);
+
+  // An operator without an estimate cannot be priced.
+  estimates.erase(m->id());
+  EXPECT_TRUE(EstimateStageCost(eplan.stages[0], estimates)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

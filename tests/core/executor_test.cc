@@ -1,13 +1,16 @@
 #include "core/executor/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault.h"
+#include "core/api/data_quanta.h"
 #include "core/executor/execution_state.h"
 #include "core/operators/physical_ops.h"
 #include "core/optimizer/enumerator.h"
@@ -255,6 +258,166 @@ TEST(ExecutionStateTest, PutGetEvict) {
   state.Evict(1);
   EXPECT_FALSE(state.Has(1));
   EXPECT_TRUE(state.Get(1).status().IsExecutionError());
+}
+
+// --- progressive re-optimization, driven through RheemContext --------------
+
+/// A source and Filter pinned to relsim, where the filter claims a
+/// selectivity of `hint` but keeps every record, followed by an expensive
+/// Map that relsim cannot run. The pinned prefix ends a stage, so the
+/// executor observes the filter's real output before the Map is placed.
+class AdaptiveTest : public ::testing::Test {
+ protected:
+  AdaptiveTest() : ctx_(NoLearning()) {}
+  void SetUp() override { ASSERT_TRUE(ctx_.RegisterDefaultPlatforms().ok()); }
+
+  static Config NoLearning() {
+    Config config;
+    // Learned cardinalities would correct a repeated lying hint up front.
+    config.SetBool("stats.enabled", false);
+    return config;
+  }
+
+  Result<ExecutionResult> RunLyingPlan(int rows, double hint) {
+    RheemJob job(&ctx_);
+    return job.LoadCollection(Numbers(rows))
+        .OnPlatform("relsim")
+        .Filter(
+            [this](const Record&) {
+              filter_calls_.fetch_add(1, std::memory_order_relaxed);
+              return true;
+            },
+            UdfMeta::Selective(hint))
+        .OnPlatform("relsim")
+        .Map(
+            [](const Record& r) {
+              double x = r[0].ToDoubleOr(0);
+              for (int k = 0; k < 200; ++k) x = x * 1.000001 + 0.5;
+              return Record({Value(x)});
+            },
+            UdfMeta::Expensive(200.0))
+        .CollectWithMetrics();
+  }
+
+  RheemContext ctx_;
+  std::atomic<int64_t> filter_calls_{0};
+};
+
+TEST_F(AdaptiveTest, ExecutesPlainPlanWithoutAdaptation) {
+  RheemJob job(&ctx_);
+  auto result = job.LoadCollection(Numbers(100))
+                    .Map([](const Record& r) {
+                      return Record({Value(r[0].ToInt64Or(0) + 1)});
+                    })
+                    .CollectWithMetrics();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->output.size(), 100u);
+  EXPECT_EQ(result->metrics.reoptimizations, 0);
+  EXPECT_TRUE(result->decisions.empty());
+}
+
+TEST_F(AdaptiveTest, ReoptimizesWhenSelectivityHintIsWrong) {
+  auto result = RunLyingPlan(60000, /*hint=*/0.0005);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // The filter "estimated" 30 records but produced 60000: adaptation fires.
+  EXPECT_EQ(result->metrics.reoptimizations, 1);
+  ASSERT_EQ(result->decisions.size(), 1u);
+  EXPECT_NE(result->decisions[0].find("Filter"), std::string::npos)
+      << result->decisions[0];
+  // All records survive the (lying) filter and get mapped.
+  EXPECT_EQ(result->output.size(), 60000u);
+}
+
+TEST_F(AdaptiveTest, AccurateHintNeedsNoAdaptation) {
+  auto result = RunLyingPlan(60000, /*hint=*/1.0);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->metrics.reoptimizations, 0);
+  EXPECT_EQ(result->output.size(), 60000u);
+}
+
+TEST_F(AdaptiveTest, InvalidOptionsAreRejectedAtSubmit) {
+  auto run = [&](double threshold, int64_t budget) {
+    ctx_.mutable_config().SetDouble("executor.reoptimize_threshold", threshold);
+    ctx_.mutable_config().SetInt("executor.max_reoptimizations", budget);
+    RheemJob job(&ctx_);
+    return job.LoadCollection(Numbers(10)).Collect().status();
+  };
+  // A threshold <= 1.0 can never be exceeded by the symmetric error ratio
+  // (always >= 1), so it would silently disable adaptation: it errors.
+  for (double threshold : {1.0, 0.5}) {
+    const Status st = run(threshold, 2);
+    ASSERT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.ToString().find("reoptimize_threshold"), std::string::npos);
+  }
+  const Status negative_budget = run(3.0, -1);
+  ASSERT_TRUE(negative_budget.IsInvalidArgument())
+      << negative_budget.ToString();
+  EXPECT_NE(negative_budget.ToString().find("max_reoptimizations"),
+            std::string::npos);
+  // Zero stays valid: it means "adaptation off", not a typo.
+  EXPECT_TRUE(run(3.0, 0).ok());
+}
+
+// A directly constructed executor validates the same keys itself, so callers
+// that bypass the context cannot slip an invalid value past it either.
+TEST_F(AdaptiveTest, ExecutorConfigValidationMatchesAdaptiveOptions) {
+  auto run = [](double threshold, int64_t budget) {
+    Config config;
+    config.SetDouble("executor.reoptimize_threshold", threshold);
+    config.SetInt("executor.max_reoptimizations", budget);
+    JavaSimPlatform java(config);
+    Plan plan;
+    auto* src = plan.Add<CollectionSourceOp>({}, Numbers(10));
+    auto* sink = plan.Add<CollectOp>({src});
+    plan.SetSink(sink);
+    PlatformAssignment a;
+    a.by_op = {{src->id(), &java}, {sink->id(), &java}};
+    auto eplan = StageSplitter::Split(plan, std::move(a)).ValueOrDie();
+    CrossPlatformExecutor executor(config);
+    return executor.Execute(eplan).status();
+  };
+  EXPECT_TRUE(run(1.0, 2).IsInvalidArgument());
+  EXPECT_TRUE(run(0.5, 2).IsInvalidArgument());
+  EXPECT_TRUE(run(3.0, -1).IsInvalidArgument());
+  EXPECT_TRUE(run(3.0, 0).ok());
+}
+
+TEST_F(AdaptiveTest, AdaptationRespectsMaxReoptimizations) {
+  ctx_.mutable_config().SetInt("executor.max_reoptimizations", 0);
+  auto result = RunLyingPlan(20000, /*hint=*/0.0001);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->metrics.reoptimizations, 0);
+  EXPECT_TRUE(result->decisions.empty());
+  EXPECT_EQ(result->output.size(), 20000u);
+}
+
+TEST_F(AdaptiveTest, ExecutedWorkIsNotRedone) {
+  auto result = RunLyingPlan(30000, /*hint=*/0.001);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->metrics.reoptimizations, 1);
+  // The pinned relsim prefix ran once: every record met the filter exactly
+  // once, and after the re-plan only the remaining stage(s) executed.
+  EXPECT_EQ(filter_calls_.load(), 30000);
+  EXPECT_LE(result->metrics.stages_run, 3);
+  EXPECT_EQ(result->output.size(), 30000u);
+}
+
+TEST_F(AdaptiveTest, ResultMatchesStaticExecutorOutput) {
+  auto adaptive = RunLyingPlan(5000, /*hint=*/0.001);
+  ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
+  ASSERT_EQ(adaptive->metrics.reoptimizations, 1);
+
+  ctx_.mutable_config().SetInt("executor.max_reoptimizations", 0);
+  auto fixed = RunLyingPlan(5000, /*hint=*/0.001);
+  ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+  ASSERT_EQ(fixed->metrics.reoptimizations, 0);
+  auto sorted = [](const Dataset& d) {
+    std::vector<std::string> rows;
+    for (const Record& r : d.records()) rows.push_back(r.ToString());
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  EXPECT_EQ(sorted(adaptive->output), sorted(fixed->output));
 }
 
 }  // namespace

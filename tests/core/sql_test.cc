@@ -7,7 +7,9 @@
 
 #include "core/sql/sql.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "common/string_util.h"
 #include "core/api/context.h"
 #include "core/service/job_server.h"
+#include "core/sql/tokenizer.h"
 #include "random_plans.h"
 #include "storage/mem_column_store.h"
 #include "storage/storage_plan.h"
@@ -582,6 +585,548 @@ TEST_F(SqlFrontendTest, StorageCatalogNeedsAttachedStorageThenResolvesCase) {
   EXPECT_NE(missing.status().message().find("1:15: unknown table 'nope'"),
             std::string::npos)
       << missing.status().ToString();
+}
+
+// --- the expression language, parsed from text and evaluated per row ------
+
+class ExpressionTest : public ::testing::Test {
+ protected:
+  /// Parses `text` against (id, dept, salary) and evaluates it as a WHERE
+  /// predicate over `row`.
+  static bool Holds(const std::string& text, const Record& row) {
+    auto tree = sql::ParseExpression(
+        text, Schema::Of({{"id", ValueType::kInt64},
+                          {"dept", ValueType::kString},
+                          {"salary", ValueType::kDouble}}));
+    EXPECT_TRUE(tree.ok()) << text << ": " << tree.status().ToString();
+    return tree.ok() && expr::EvalPredicate(**tree, row);
+  }
+
+  const Record eng_ = Record({Value(1), Value("eng"), Value(100.0)});
+  const Record ops_ = Record({Value(4), Value("ops"), Value(80.0)});
+};
+
+TEST_F(ExpressionTest, ColumnLiteralComparison) {
+  EXPECT_TRUE(Holds("salary > 95", eng_));
+  EXPECT_FALSE(Holds("salary > 95", ops_));
+}
+
+TEST_F(ExpressionTest, ArithmeticAndLogic) {
+  EXPECT_TRUE(Holds("salary * 2 >= 200 AND dept = 'eng'", eng_));
+  EXPECT_FALSE(Holds("salary * 2 >= 200 AND dept = 'eng'", ops_));
+}
+
+TEST_F(ExpressionTest, NotAndOr) {
+  EXPECT_FALSE(Holds("NOT dept = 'eng'", eng_));
+  EXPECT_TRUE(Holds("NOT dept = 'eng'", ops_));
+  EXPECT_TRUE(Holds("dept = 'eng' OR NOT dept = 'eng'", ops_));
+}
+
+TEST_F(ExpressionTest, NullComparisonIsFalsy) {
+  const Record null_id({Value(), Value("eng"), Value(100.0)});
+  EXPECT_FALSE(Holds("id = 1", null_id));
+  EXPECT_FALSE(Holds("NOT id = 1", null_id));
+}
+
+TEST_F(ExpressionTest, DivisionByZeroFails) {
+  // Division by zero evaluates to NULL, so any comparison over it fails —
+  // and so does its negation: the row is dropped either way.
+  auto tree = sql::ParseExpression("salary / 0",
+                                   Schema::Of({{"id", ValueType::kInt64},
+                                               {"dept", ValueType::kString},
+                                               {"salary", ValueType::kDouble}}));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_TRUE(expr::Eval(**tree, eng_).is_null());
+  EXPECT_FALSE(Holds("salary / 0 > 0", eng_));
+  EXPECT_FALSE(Holds("NOT salary / 0 > 0", eng_));
+  EXPECT_FALSE(Holds("id % 0 = 0", eng_));
+}
+
+TEST_F(ExpressionTest, UnknownColumnNameFails) {
+  auto tree = sql::ParseExpression("nope > 1",
+                                   Schema::Of({{"id", ValueType::kInt64}}));
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().message(), "1:1: unknown column 'nope'");
+}
+
+// Register and look up tables by name. The in-memory catalog has no Drop or
+// List: re-registering a name replaces its table, and a name never
+// registered is NotFound at Load.
+TEST(CatalogTest, RegisterGetDropList) {
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  const Schema schema = Schema::Of({{"id", ValueType::kInt64}});
+  sql::InMemoryCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Register("emp", Dataset({Record({Value(1)}),
+                                            Record({Value(2)})},
+                                           schema))
+                  .ok());
+  auto rows_of = [&](const std::string& name) -> Result<Dataset> {
+    RheemJob job(&ctx);
+    RHEEM_ASSIGN_OR_RETURN(sql::TableHandle table, catalog.Load(&job, name));
+    EXPECT_EQ(table.schema.field(0).name, "id");
+    return table.quanta.Collect();
+  };
+  auto first = rows_of("EMP");  // names are case-insensitive
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), 2u);
+
+  ASSERT_TRUE(
+      catalog.Register("emp", Dataset({Record({Value(3)})}, schema)).ok());
+  auto replaced = rows_of("emp");
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
+  EXPECT_EQ(AsMultiset(*replaced), AsMultiset(Dataset({Record({Value(3)})})));
+
+  EXPECT_TRUE(rows_of("dept").status().IsNotFound());
+}
+
+// --- query semantics over a five-row table ---------------------------------
+
+class SqlTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(ctx_.RegisterDefaultPlatforms().ok());
+    Dataset emp(
+        {
+            Record({Value(1), Value("eng"), Value(100.0), Value(30)}),
+            Record({Value(2), Value("eng"), Value(120.0), Value(35)}),
+            Record({Value(3), Value("ops"), Value(90.0), Value(28)}),
+            Record({Value(4), Value("ops"), Value(80.0), Value(41)}),
+            Record({Value(5), Value("hr"), Value(70.0), Value(50)}),
+        },
+        Schema::Of({{"id", ValueType::kInt64},
+                    {"dept", ValueType::kString},
+                    {"salary", ValueType::kDouble},
+                    {"age", ValueType::kInt64}}));
+    ASSERT_TRUE(catalog_.Register("emp", emp).ok());
+  }
+
+  /// Compiles and runs `query`; `platform` non-empty forces every operator
+  /// onto that platform.
+  Result<Dataset> Run(const std::string& query,
+                      const std::string& platform = "") {
+    RHEEM_ASSIGN_OR_RETURN(sql::SqlStatement stmt, ctx_.Sql(query, catalog_));
+    ExecutionOptions options;
+    options.force_platform = platform;
+    return stmt.Collect(options);
+  }
+
+  /// The rejection message of `query`, which must fail to compile with a
+  /// positioned InvalidArgument.
+  std::string Rejection(const std::string& query) {
+    auto stmt = ctx_.Sql(query, catalog_);
+    if (stmt.ok()) return "accepted: " + query;
+    EXPECT_TRUE(stmt.status().IsInvalidArgument()) << stmt.status().ToString();
+    return stmt.status().message();
+  }
+
+  RheemContext ctx_;
+  sql::InMemoryCatalog catalog_;
+};
+
+TEST_F(SqlTest, SelectStar) {
+  auto stmt = ctx_.Sql("SELECT * FROM emp", catalog_);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt->schema().num_fields(), 4u);
+  auto rows = stmt->Collect();
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 5u);
+}
+
+TEST_F(SqlTest, WhereComparisonAndLogic) {
+  auto t = Run("SELECT id FROM emp WHERE salary >= 90 AND dept <> 'hr'");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->size(), 3u);
+  auto t2 = Run("SELECT id FROM emp WHERE dept = 'hr' OR age > 40");
+  ASSERT_TRUE(t2.ok()) << t2.status().ToString();
+  EXPECT_EQ(AsMultiset(*t2),
+            AsMultiset(Dataset({Record({Value(4)}), Record({Value(5)})})));
+  auto t3 = Run("SELECT id FROM emp WHERE NOT dept = 'eng'");
+  ASSERT_TRUE(t3.ok()) << t3.status().ToString();
+  EXPECT_EQ(t3->size(), 3u);
+}
+
+TEST_F(SqlTest, ComputedProjectionWithAlias) {
+  auto stmt =
+      ctx_.Sql("SELECT id, salary * 1.1 AS raised FROM emp WHERE id = 1",
+               catalog_);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt->schema().field(1).name, "raised");
+  auto t = stmt->Collect();
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_NEAR(t->at(0)[1].ToDoubleOr(0), 110.0, 1e-9);
+}
+
+TEST_F(SqlTest, ArithmeticPrecedence) {
+  auto t = Run("SELECT 2 + 3 * 4 AS v FROM emp WHERE id = 1");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_EQ(t->at(0)[0], Value(14));
+  auto t2 = Run("SELECT (2 + 3) * 4 AS v FROM emp WHERE id = 1");
+  ASSERT_TRUE(t2.ok()) << t2.status().ToString();
+  ASSERT_EQ(t2->size(), 1u);
+  EXPECT_EQ(t2->at(0)[0], Value(20));
+}
+
+TEST_F(SqlTest, UnaryMinus) {
+  auto t = Run("SELECT -age AS neg FROM emp WHERE id = 1");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_EQ(t->at(0)[0], Value(-30));
+}
+
+TEST_F(SqlTest, GroupByWithAggregates) {
+  auto t = Run(
+      "SELECT dept, COUNT(*) AS n, SUM(salary) AS total, AVG(age) AS avg_age "
+      "FROM emp GROUP BY dept ORDER BY dept");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 3u);
+  EXPECT_EQ(t->at(0), Record({Value("eng"), Value(int64_t{2}), Value(220.0),
+                              Value(32.5)}));
+}
+
+TEST_F(SqlTest, GlobalAggregate) {
+  auto t = Run("SELECT COUNT(*) AS n, MAX(salary) AS top FROM emp");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_EQ(t->at(0), Record({Value(int64_t{5}), Value(120.0)}));
+}
+
+TEST_F(SqlTest, AggregateWithWhere) {
+  auto t = Run("SELECT MIN(salary) AS low FROM emp WHERE dept = 'eng'");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_EQ(t->at(0)[0], Value(100.0));
+}
+
+TEST_F(SqlTest, OrderByDescAndLimit) {
+  auto t = Run("SELECT id, salary FROM emp ORDER BY salary DESC LIMIT 2");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 2u);
+  EXPECT_EQ(t->at(0)[0], Value(2));
+  EXPECT_EQ(t->at(1)[0], Value(1));
+}
+
+TEST_F(SqlTest, LimitLargerThanTableIsNoOp) {
+  auto t = Run("SELECT * FROM emp ORDER BY id LIMIT 100");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->size(), 5u);
+}
+
+TEST_F(SqlTest, KeywordsAreCaseInsensitive) {
+  auto t = Run(
+      "select dept, count(*) as n from emp group by dept "
+      "order by n desc limit 1");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 1u);
+  EXPECT_EQ(t->at(0)[1], Value(int64_t{2}));
+}
+
+TEST_F(SqlTest, ParseErrorsAreReported) {
+  EXPECT_EQ(Rejection("SELECT FROM emp"),
+            "1:8: unexpected keyword 'FROM' in expression");
+  EXPECT_EQ(Rejection("SELECT * emp"), "1:10: expected FROM, got 'emp'");
+  EXPECT_EQ(Rejection("SELECT * FROM emp WHERE"),
+            "1:24: unexpected end of input in expression");
+  EXPECT_EQ(Rejection("SELECT * FROM emp garbage more"),
+            "1:27: trailing input 'more'");
+  EXPECT_EQ(Rejection("SELECT SUM(*) FROM emp"),
+            "1:8: SUM(*) is not valid; only COUNT takes *");
+  EXPECT_EQ(Rejection("SELECT * FROM emp WHERE name = 'x"),
+            "1:32: unterminated string literal");
+  EXPECT_EQ(Rejection("SELECT * FROM emp ORDER BY id LIMIT x"),
+            "1:37: LIMIT expects a non-negative integer, got 'x'");
+}
+
+TEST_F(SqlTest, SemanticErrorsAreReported) {
+  EXPECT_EQ(Rejection("SELECT * FROM ghosts"), "1:15: unknown table 'ghosts'");
+  EXPECT_EQ(Rejection("SELECT nope FROM emp"), "1:8: unknown column 'nope'");
+  EXPECT_EQ(Rejection("SELECT age, COUNT(*) FROM emp GROUP BY dept"),
+            "1:8: 'age' must appear in GROUP BY or inside an aggregate");
+  EXPECT_EQ(Rejection("SELECT *, COUNT(*) FROM emp"),
+            "1:9: expected FROM, got ','");
+}
+
+TEST_F(SqlTest, StringLiteralQuotingSharedWithCoreDialect) {
+  ASSERT_TRUE(catalog_
+                  .Register("people",
+                            Dataset({Record({Value("O'Brien")}),
+                                     Record({Value("caf\xC3\xA9")})},
+                                    Schema::Of({{"name", ValueType::kString}})))
+                  .ok());
+  // SqlQuoteString is the one quoting helper; what it emits parses back to
+  // the same literal, embedded quotes and non-ASCII bytes included.
+  EXPECT_EQ(SqlQuoteString("O'Brien"), "'O''Brien'");
+  for (const std::string name : {"O'Brien", "caf\xC3\xA9"}) {
+    auto t = Run("SELECT name FROM people WHERE name = " +
+                 SqlQuoteString(name));
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_EQ(AsMultiset(*t), AsMultiset(Dataset({Record({Value(name)})})))
+        << name;
+  }
+  auto none = Run("SELECT name FROM people WHERE name = " +
+                  SqlQuoteString("it's 'quoted'"));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none->size(), 0u);
+}
+
+TEST_F(SqlTest, ExplainRendersNormalizedQuery) {
+  auto stmt = ctx_.Sql(
+      "select dept, sum(salary) from emp where age > 30 group by dept "
+      "order by dept limit 3",
+      catalog_);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt->PlanText(),
+            "#0 L:CollectionSource [table=emp]\n"
+            "#1 L:Filter <- #0 [filter=age>30]\n"
+            "#2 L:Map <- #1 [map=[dept, salary]]\n"
+            "#3 L:ReduceByKey <- #2 [key=$0 aggs=[first($0), sum($1)]]\n"
+            "#4 L:Map <- #3 [map=[dept, $1]]\n"
+            "#5 L:TopK <- #4 [k=3 asc key=dept]\n"
+            "#6 L:Collect <- #5 (sink)\n");
+}
+
+TEST_F(SqlTest, ExplainRejectsBadQuery) {
+  EXPECT_EQ(Rejection("DELETE FROM emp"), "1:1: expected SELECT, got 'DELETE'");
+}
+
+class SqlJoinTest : public SqlTest {
+ protected:
+  void SetUp() override {
+    SqlTest::SetUp();
+    Dataset depts({Record({Value("eng"), Value(3)}),
+                   Record({Value("ops"), Value(1)})},
+                  Schema::Of({{"name", ValueType::kString},
+                              {"floor", ValueType::kInt64}}));
+    ASSERT_TRUE(catalog_.Register("depts", depts).ok());
+  }
+};
+
+TEST_F(SqlJoinTest, EquiJoinProducesConcatenatedRows) {
+  auto t = Run(
+      "SELECT id, name, floor FROM emp JOIN depts ON dept = name ORDER BY id");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  // hr has no matching department: the inner join drops id 5.
+  ASSERT_EQ(t->size(), 4u);
+  EXPECT_EQ(t->at(0), Record({Value(1), Value("eng"), Value(3)}));
+}
+
+TEST_F(SqlJoinTest, JoinComposesWithWhereAndAggregation) {
+  auto t = Run(
+      "SELECT floor, SUM(salary) AS total FROM emp JOIN depts ON dept = name "
+      "WHERE salary >= 90 GROUP BY floor ORDER BY floor");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  ASSERT_EQ(t->size(), 2u);
+  EXPECT_EQ(t->at(0), Record({Value(1), Value(90.0)}));  // ops floor
+  EXPECT_EQ(t->at(1), Record({Value(3), Value(220.0)}));
+}
+
+TEST_F(SqlJoinTest, JoinErrorsReported) {
+  EXPECT_EQ(Rejection("SELECT * FROM emp JOIN ON x = y"),
+            "1:24: expected a table name, got 'ON'");
+  EXPECT_EQ(Rejection("SELECT * FROM emp JOIN depts"),
+            "1:29: expected ON, got end of input");
+  EXPECT_EQ(Rejection("SELECT * FROM emp JOIN depts ON dept = nope"),
+            "1:40: unknown column 'nope'");
+  EXPECT_EQ(Rejection("SELECT * FROM emp JOIN ghosts ON a = b"),
+            "1:24: unknown table 'ghosts'");
+}
+
+TEST_F(SqlJoinTest, ExplainRendersJoin) {
+  auto stmt = ctx_.Sql("select * from emp join depts on dept = name", catalog_);
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  EXPECT_EQ(stmt->PlanText(),
+            "#0 L:CollectionSource [table=emp]\n"
+            "#1 L:CollectionSource [table=depts]\n"
+            "#2 L:Join <- #0, #1 [join=(dept, name)]\n"
+            "#3 L:Collect <- #2 (sink)\n");
+}
+
+// relsim has no Map, so it runs exactly the SQL shapes that compile without
+// a projection: SELECT * under WHERE, ORDER BY ... LIMIT and equi-joins.
+TEST_F(SqlJoinTest, RelsimAgreesWithJavasimOnRelationalShapes) {
+  for (const std::string query : {
+           "SELECT * FROM emp WHERE salary >= 90 AND dept <> 'hr'",
+           "SELECT * FROM emp ORDER BY salary DESC LIMIT 3",
+           "SELECT * FROM emp JOIN depts ON dept = name WHERE age < 40",
+           "SELECT DISTINCT * FROM emp WHERE NOT dept = 'eng'",
+       }) {
+    auto java = Run(query, "javasim");
+    ASSERT_TRUE(java.ok()) << query << ": " << java.status().ToString();
+    auto rel = Run(query, "relsim");
+    ASSERT_TRUE(rel.ok()) << query << ": " << rel.status().ToString();
+    EXPECT_FALSE(java->empty()) << query;
+    EXPECT_EQ(AsMultiset(*rel), AsMultiset(*java)) << query;
+  }
+  EXPECT_TRUE(Run("SELECT id FROM emp", "relsim").status().IsUnsupported());
+}
+
+// --- fuzzing: every input compiles or fails with a positioned error ---------
+//
+// Two seeded generators feed the frontend: grammar-aware mutations of valid
+// queries (tokens deleted, duplicated, swapped, truncated or replaced from
+// the dialect's token classes) and raw garbage bytes. An input must either
+// compile, and then execute, or be rejected with InvalidArgument/NotFound
+// whose message starts with a 1-based "line:col". A failure names the
+// input's seed; RHEEM_FUZZ_SEED=<seed> replays exactly that input, and
+// RHEEM_FUZZ_SEED_OFFSET shifts the base seed.
+
+/// True when `message` starts with "<line>:<col>: ".
+bool HasPosition(const std::string& message) {
+  std::size_t i = 0;
+  auto digits = [&] {
+    const std::size_t start = i;
+    while (i < message.size() && message[i] >= '0' && message[i] <= '9') ++i;
+    return i > start;
+  };
+  return digits() && i < message.size() && message[i++] == ':' && digits() &&
+         message.compare(i, 2, ": ") == 0;
+}
+
+class SqlFuzzTest : public SqlJoinTest {
+ protected:
+  /// Runs `generate` once per seed: `rounds` seeds drawn from `base`, or the
+  /// single RHEEM_FUZZ_SEED replay seed. Returns how many inputs compiled.
+  template <typename Generate>
+  int Fuzz(uint64_t base, int rounds, Generate generate) {
+    uint64_t replay = 0;
+    const bool has_replay = testutil::EnvReplaySeed("RHEEM_FUZZ_SEED", &replay);
+    Rng seeds(base + testutil::EnvU64("RHEEM_FUZZ_SEED_OFFSET"));
+    int compiled = 0;
+    for (int round = 0; round < (has_replay ? 1 : rounds); ++round) {
+      const uint64_t seed = has_replay ? replay : seeds.NextU64();
+      Rng tape(seed);
+      compiled += Check(generate(&tape), seed) ? 1 : 0;
+      if (HasFailure()) break;
+    }
+    return compiled;
+  }
+
+  /// True when `query` compiled.
+  bool Check(const std::string& query, uint64_t seed) {
+    auto stmt = ctx_.Sql(query, catalog_);
+    if (stmt.ok()) {
+      auto rows = stmt->Collect();
+      EXPECT_TRUE(rows.ok())
+          << "compiled but failed to run; replay with RHEEM_FUZZ_SEED=" << seed
+          << "\n  query: " << query << "\n  " << rows.status().ToString();
+      return true;
+    }
+    const Status& st = stmt.status();
+    EXPECT_TRUE(st.IsInvalidArgument() || st.IsNotFound())
+        << "replay with RHEEM_FUZZ_SEED=" << seed << "\n  query: " << query
+        << "\n  " << st.ToString();
+    EXPECT_TRUE(HasPosition(st.message()))
+        << "unpositioned error; replay with RHEEM_FUZZ_SEED=" << seed
+        << "\n  query: " << query << "\n  " << st.ToString();
+    return false;
+  }
+};
+
+TEST_F(SqlFuzzTest, GrammarAwareMutationsCompileOrFailWithPosition) {
+  const std::vector<std::string> corpus = {
+      "SELECT * FROM emp",
+      "SELECT DISTINCT dept FROM emp WHERE NOT (age > 30 OR id = 2)",
+      "SELECT id, salary * 1.1 AS raised FROM emp WHERE dept <> 'hr'",
+      "SELECT e.id, d.floor FROM emp AS e JOIN depts AS d ON e.dept = d.name",
+      "SELECT e.id FROM emp AS e JOIN depts AS d ON e.age < d.floor",
+      "SELECT dept, COUNT(*) AS n, AVG(age) AS a FROM emp GROUP BY dept "
+      "ORDER BY n DESC LIMIT 2",
+      "SELECT MIN(salary) AS lo, MAX(salary) AS hi FROM emp",
+      "SELECT x.id FROM (SELECT id, age FROM emp WHERE age >= 30) AS x "
+      "ORDER BY x.id ASC LIMIT 3",
+      "SELECT $0 + -$3 % 7, \"q\" FROM emp -- comment\nWHERE $1 = 'O''Brien'",
+  };
+  // Token classes: a replacement drawn from the replaced token's own class
+  // usually keeps the query valid, so mutants reach the optimizer and the
+  // executor, not only the parser.
+  const std::vector<std::vector<std::string>> classes = {
+      {"id", "dept", "salary", "age", "name", "floor", "$0", "$3", "$99",
+       "bogus", "e.id", "d.floor"},
+      {"0", "1", "-1", "2.5", "1e308", "9223372036854775807",
+       "99999999999999999999"},
+      {"'x'", "''", "'O''Brien'", "\"q\\\"\""},
+      {"=", "<>", "!=", "<", "<=", ">", ">="},
+      {"+", "-", "*", "/", "%"},
+      {"AND", "OR"},
+      {"COUNT", "SUM", "AVG", "MIN", "MAX"},
+      {"ASC", "DESC"},
+      {"emp", "depts", "e", "d", "x"},
+      {"SELECT", "DISTINCT", "FROM", "JOIN", "ON", "WHERE", "GROUP", "BY",
+       "ORDER", "LIMIT", "AS", "NOT", "NULL", "(", ")", ",", ".", "*", "--",
+       "\n", "'", "\"", "#", ";"},
+  };
+  std::vector<std::vector<std::string>> tokenized;
+  for (const std::string& query : corpus) {
+    auto tokens = sql::Tokenize(query);
+    ASSERT_TRUE(tokens.ok()) << tokens.status().ToString();
+    std::vector<std::string> pieces;
+    for (const sql::Token& t : *tokens) {
+      if (t.kind == sql::TokenKind::kEnd) break;
+      pieces.push_back(query.substr(t.offset, t.end_offset - t.offset));
+    }
+    tokenized.push_back(std::move(pieces));
+  }
+  const int rounds = 3000;
+  const int compiled = Fuzz(20261019, rounds, [&](Rng* tape) {
+    std::vector<std::string> pieces =
+        tokenized[tape->NextBounded(tokenized.size())];
+    auto pick = [&](const std::vector<std::string>& from) {
+      return from[tape->NextBounded(from.size())];
+    };
+    auto any_token = [&] {
+      return pick(classes[tape->NextBounded(classes.size())]);
+    };
+    auto like = [&](const std::string& piece) {
+      for (const auto& tokens : classes) {
+        if (std::find(tokens.begin(), tokens.end(), piece) != tokens.end()) {
+          return pick(tokens);
+        }
+      }
+      return any_token();
+    };
+    const int mutations = 1 + static_cast<int>(tape->NextBounded(2));
+    for (int m = 0; m < mutations && !pieces.empty(); ++m) {
+      const std::size_t at = tape->NextBounded(pieces.size());
+      switch (tape->NextBounded(10)) {
+        case 0: pieces.erase(pieces.begin() + at); break;
+        case 1: pieces.insert(pieces.begin() + at, pieces[at]); break;
+        case 2:
+          std::swap(pieces[at], pieces[tape->NextBounded(pieces.size())]);
+          break;
+        case 3: pieces[at] = any_token(); break;
+        case 4: pieces.insert(pieces.begin() + at, any_token()); break;
+        case 5: pieces.resize(at); break;
+        default: pieces[at] = like(pieces[at]); break;
+      }
+    }
+    std::string query;
+    for (const std::string& piece : pieces) query += piece + " ";
+    return query;
+  });
+  // A generator that stopped producing valid queries would test only the
+  // parser's error paths.
+  uint64_t replay = 0;
+  if (!testutil::EnvReplaySeed("RHEEM_FUZZ_SEED", &replay)) {
+    EXPECT_GE(compiled, rounds / 20);
+  }
+}
+
+TEST_F(SqlFuzzTest, RawGarbageCompilesOrFailsWithPosition) {
+  const std::string sqlish =
+      "SELECT*FROM emp WHERE()'\",.;$-+=<>!0123456789\n\t";
+  Fuzz(20261020, 3000, [&](Rng* tape) {
+    std::string query = tape->NextBool(0.3) ? "SELECT " : "";
+    const bool bytes = tape->NextBool();
+    const int length = static_cast<int>(tape->NextBounded(64));
+    for (int i = 0; i < length; ++i) {
+      query += bytes ? static_cast<char>(tape->NextBounded(256))
+                     : sqlish[tape->NextBounded(sqlish.size())];
+    }
+    return query;
+  });
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -16,6 +17,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "core/api/data_quanta.h"
+#include "core/executor/monitor.h"
 #include "core/operators/physical_ops.h"
 #include "core/optimizer/stats_catalog.h"
 #include "core/service/job_server.h"
@@ -73,6 +75,7 @@ TEST_F(StatsCatalogTest, CostFactorIsClampedGeometricMean) {
   EXPECT_EQ(catalog.CostFactor("Map", "javasim"), 1.0);  // unknown: neutral
 
   catalog.RecordCostRatio("Map", "javasim", 4.0);
+  EXPECT_NEAR(catalog.CostFactor("Map", "javasim"), 4.0, 1e-9);  // exact
   catalog.RecordCostRatio("Map", "javasim", 1.0);
   EXPECT_NEAR(catalog.CostFactor("Map", "javasim"), 2.0, 1e-9);  // sqrt(4*1)
 
@@ -85,6 +88,89 @@ TEST_F(StatsCatalogTest, CostFactorIsClampedGeometricMean) {
 
   // Distinct (op, platform) keys do not bleed into each other.
   EXPECT_EQ(wild.CostFactor("Join", "relsim"), 1.0);
+}
+
+// The learned cost factor per (operator kind, platform): a geometric mean of
+// observed/estimated cost ratios, neutral until something is observed.
+TEST(CostCalibratorTest, NoObservationsMeansFactorOne) {
+  StatisticsCatalog catalog;
+  EXPECT_DOUBLE_EQ(catalog.CostFactor("Map", "javasim"), 1.0);
+  EXPECT_EQ(catalog.cost_entries(), 0u);
+}
+
+TEST(CostCalibratorTest, SingleObservationGivesExactRatio) {
+  StatisticsCatalog catalog;
+  catalog.RecordCostRatio("Map", "javasim", 250.0 / 100.0);
+  EXPECT_NEAR(catalog.CostFactor("Map", "javasim"), 2.5, 1e-9);
+  EXPECT_EQ(catalog.cost_entries(), 1u);
+}
+
+TEST(CostCalibratorTest, GeometricMeanOverRuns) {
+  StatisticsCatalog catalog;
+  catalog.RecordCostRatio("Map", "p", 4.0);
+  catalog.RecordCostRatio("Map", "p", 1.0);
+  EXPECT_NEAR(catalog.CostFactor("Map", "p"), 2.0, 1e-9);  // sqrt(4*1)
+  catalog.RecordCostRatio("Map", "p", 0.5);
+  EXPECT_NEAR(catalog.CostFactor("Map", "p"), std::cbrt(2.0), 1e-9);
+  EXPECT_EQ(catalog.cost_entries(), 1u);
+}
+
+TEST(CostCalibratorTest, PlatformsIsolated) {
+  StatisticsCatalog catalog;
+  catalog.RecordCostRatio("Map", "a", 10.0);
+  catalog.RecordCostRatio("Map", "b", 0.5);
+  EXPECT_NEAR(catalog.CostFactor("Map", "a"), 10.0, 1e-9);
+  EXPECT_NEAR(catalog.CostFactor("Map", "b"), 0.5, 1e-9);
+  EXPECT_DOUBLE_EQ(catalog.CostFactor("Map", "c"), 1.0);
+  EXPECT_DOUBLE_EQ(catalog.CostFactor("Filter", "a"), 1.0);
+}
+
+TEST(CostCalibratorTest, IgnoresDegenerateObservations) {
+  StatisticsCatalog catalog;
+  catalog.RecordCostRatio("Map", "p", 0.0);
+  catalog.RecordCostRatio("Map", "p", -5.0);
+  catalog.RecordCostRatio("Map", "p", std::numeric_limits<double>::infinity());
+  EXPECT_EQ(catalog.cost_entries(), 0u);
+  EXPECT_DOUBLE_EQ(catalog.CostFactor("Map", "p"), 1.0);
+  // A degenerate ratio after a real one leaves the learned factor alone.
+  catalog.RecordCostRatio("Map", "p", 3.0);
+  catalog.RecordCostRatio("Map", "p", 0.0);
+  EXPECT_NEAR(catalog.CostFactor("Map", "p"), 3.0, 1e-9);
+}
+
+// A job run through a context feeds each finished stage into the context's
+// catalog: the platform that ran the Map, as the monitor saw it, now has a
+// learned cost factor for Map.
+TEST(ObserveJobTest, WiresMonitorRecordsIntoCalibrator) {
+  RheemContext ctx;
+  ASSERT_TRUE(ctx.RegisterDefaultPlatforms().ok());
+  ASSERT_NE(ctx.stats_catalog(), nullptr);
+  RheemJob job(&ctx);
+  std::vector<Record> rows;
+  for (int i = 0; i < 5000; ++i) rows.push_back(Record({Value(i)}));
+  auto quanta = job.LoadCollection(Dataset(std::move(rows)))
+                    .Map(
+                        [](const Record& r) {
+                          double x = r[0].ToDoubleOr(0);
+                          for (int k = 0; k < 40; ++k) x = x * 1.0001 + 1;
+                          return Record({Value(x)});
+                        },
+                        UdfMeta::Expensive(40.0));
+  ExecutionMonitor monitor;
+  job.options().monitor = &monitor;
+  ASSERT_TRUE(quanta.Collect().ok());
+  const auto records = monitor.records();
+  ASSERT_FALSE(records.empty());
+
+  EXPECT_GT(ctx.stats_catalog()->cost_entries(), 0u);
+  bool learned = false;
+  for (const auto& record : records) {
+    EXPECT_TRUE(record.succeeded) << record.error;
+    const double factor = ctx.stats_catalog()->CostFactor("Map", record.platform);
+    EXPECT_GT(factor, 0.0);
+    learned = learned || factor != 1.0;
+  }
+  EXPECT_TRUE(learned) << "no monitored platform learned a Map cost factor";
 }
 
 TEST_F(StatsCatalogTest, EncodeDecodeRoundTrips) {
@@ -288,6 +374,7 @@ TEST_F(StatsCatalogTest, SecondCompilationIsServedFromLearnedStatistics) {
   auto cold = run();
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_GT(ctx.stats_catalog()->version(), version0);  // job fed the catalog
+  EXPECT_GT(ctx.stats_catalog()->cost_entries(), 0u);  // ...cost ratios too
   EXPECT_GE(cold->metrics.reoptimizations, 1);          // the lie was caught
 
   const int64_t hits_before = CounterValue("stats_catalog.hits");
