@@ -1,11 +1,9 @@
 #include "core/optimizer/fingerprint.h"
 
-#include <algorithm>
 #include <map>
-#include <mutex>
-#include <unordered_map>
 
 #include "data/record.h"
+#include "data/table_memo.h"
 
 namespace rheem {
 
@@ -63,37 +61,7 @@ uint64_t PlanFingerprint::OfDataset(const Dataset& data) {
 
 uint64_t PlanFingerprint::OfShared(const std::shared_ptr<const Dataset>& data) {
   if (data == nullptr) return OfDataset(Dataset());
-  struct Entry {
-    std::weak_ptr<const Dataset> owner;
-    uint64_t hash;
-  };
-  // Leaked on purpose: fingerprints may be taken during static destruction.
-  static std::mutex* const mu = new std::mutex();
-  static auto* const memo = new std::unordered_map<const Dataset*, Entry>();
-  static std::size_t sweep_at = 64;
-  // Same address and same owner means the same live object. A stale entry
-  // holds an expired weak_ptr, whose control block stays allocated, so a
-  // new table at a reused address always has a different owner.
-  const auto same_owner = [&data](const Entry& e) {
-    return !e.owner.owner_before(data) && !data.owner_before(e.owner);
-  };
-  {
-    std::lock_guard<std::mutex> lock(*mu);
-    auto it = memo->find(data.get());
-    if (it != memo->end() && same_owner(it->second)) return it->second.hash;
-  }
-  // Hash outside the lock; two threads racing on one table both compute the
-  // same value.
-  const uint64_t h = OfDataset(*data);
-  std::lock_guard<std::mutex> lock(*mu);
-  (*memo)[data.get()] = Entry{data, h};
-  // Drop entries of freed tables, amortized over insertions.
-  if (memo->size() >= sweep_at) {
-    std::erase_if(*memo,
-                  [](const auto& kv) { return kv.second.owner.expired(); });
-    sweep_at = std::max<std::size_t>(64, 2 * memo->size());
-  }
-  return h;
+  return TableMemo::Hash(data, &OfDataset);
 }
 
 }  // namespace rheem

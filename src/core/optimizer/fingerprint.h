@@ -40,13 +40,10 @@ class PlanFingerprint {
   /// reading different collections never share a fingerprint.
   static uint64_t OfDataset(const Dataset& data);
 
-  /// OfDataset of a shared immutable table, computed once per table object:
-  /// later calls on the same live object return the memoized hash. The memo
-  /// is keyed by address and checked against the object's owner through a
-  /// weak_ptr, so a new table allocated where a freed one lived is hashed
-  /// afresh. Rewriting a table therefore means sharing a new object (as the
-  /// hot buffer and InMemoryCatalog::Register do); a shared table must never
-  /// be mutated in place. Null hashes as an empty dataset. Thread-safe.
+  /// OfDataset of a shared immutable table, computed once per table object
+  /// through TableMemo (see there for the address-reuse check and why a
+  /// shared table must never be mutated in place). Null hashes as an empty
+  /// dataset. Thread-safe.
   static uint64_t OfShared(const std::shared_ptr<const Dataset>& data);
 };
 

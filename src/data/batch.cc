@@ -19,6 +19,9 @@ constexpr std::size_t kMaxBatchRows = 0xFFFFFFFFu;  // selection ids are u32
 /// Shared column-at-a-time conversion. `strict` additionally requires uniform
 /// arity == num_columns; lenient treats a missing trailing cell as null.
 Result<Batch> Convert(const Dataset& in, std::size_t num_columns, bool strict) {
+  // Every attempt counts, a rejected one too: it scanned the rows up to the
+  // cell that rejected it.
+  CountIfEnabled(ConversionsCounter(), 1);
   const std::size_t n = in.size();
   if (n > kMaxBatchRows) {
     return Status::Unsupported("dataset too large for a Batch");
@@ -109,7 +112,6 @@ Result<Batch> Convert(const Dataset& in, std::size_t num_columns, bool strict) {
       col.str_offsets.push_back(static_cast<uint32_t>(col.str_bytes.size()));
     }
   }
-  CountIfEnabled(ConversionsCounter(), 1);
   return Batch(std::move(cols), n);
 }
 

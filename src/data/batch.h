@@ -76,9 +76,10 @@ struct BatchView {
 ///
 /// Following Whiz's decoupled data plane, operators choose the layout that is
 /// fast on real hardware: kernels convert a Dataset to a Batch at operator
-/// boundaries (counted in `batch.conversions_total`), run column-at-a-time
-/// over contiguous memory, and narrow the *selection vector* instead of
-/// materializing intermediate records. ToDataset() restores the exact row
+/// boundaries (`batch.conversions_total` counts every attempt, rejected ones
+/// included, and every ToDataset), run column-at-a-time over contiguous
+/// memory, and narrow the *selection vector* instead of materializing
+/// intermediate records. ToDataset() restores the exact row
 /// representation — conversion is lossless for every convertible Dataset, so
 /// columnar execution is byte-identical to the row path.
 class Batch {

@@ -32,23 +32,33 @@ Status Dataset::Validate() const {
   return Status::OK();
 }
 
-std::vector<Dataset> Dataset::SplitInto(std::size_t n) const {
+std::vector<std::pair<std::size_t, std::size_t>> Dataset::SplitRanges(
+    std::size_t total, std::size_t n) {
   if (n == 0) n = 1;
-  std::vector<Dataset> out(n);
-  const std::size_t total = records_.size();
+  std::vector<std::pair<std::size_t, std::size_t>> ranges(n);
   const std::size_t base = total / n;
   const std::size_t extra = total % n;
   std::size_t pos = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t len = base + (i < extra ? 1 : 0);
-    std::vector<Record> chunk(records_.begin() + static_cast<std::ptrdiff_t>(pos),
-                              records_.begin() + static_cast<std::ptrdiff_t>(pos + len));
+    ranges[i] = {pos, pos + len};
+    pos += len;
+  }
+  return ranges;
+}
+
+std::vector<Dataset> Dataset::SplitInto(std::size_t n) const {
+  const auto ranges = SplitRanges(records_.size(), n);
+  std::vector<Dataset> out(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    std::vector<Record> chunk(
+        records_.begin() + static_cast<std::ptrdiff_t>(ranges[i].first),
+        records_.begin() + static_cast<std::ptrdiff_t>(ranges[i].second));
     if (has_schema_) {
       out[i] = Dataset(std::move(chunk), schema_);
     } else {
       out[i] = Dataset(std::move(chunk));
     }
-    pos += len;
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -52,6 +53,11 @@ class Dataset {
   /// Splits into `n` contiguous chunks of near-equal size (some may be
   /// empty when size() < n). Used to partition input for sparksim.
   std::vector<Dataset> SplitInto(std::size_t n) const;
+
+  /// The row ranges [begin, end) SplitInto(n) cuts from `total` rows: the
+  /// first total % n chunks hold one row more than the rest.
+  static std::vector<std::pair<std::size_t, std::size_t>> SplitRanges(
+      std::size_t total, std::size_t n);
 
   /// Stable sort by the given comparator.
   void Sort(const std::function<bool(const Record&, const Record&)>& less);

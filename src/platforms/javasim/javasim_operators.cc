@@ -86,6 +86,21 @@ Result<const Dataset*> DatasetWalker::ResultOf(int op_id) const {
   return &it->second;
 }
 
+Result<Dataset> DatasetWalker::TakeResult(int op_id) {
+  auto it = results_.find(op_id);
+  if (it == results_.end()) {
+    return Status::ExecutionError("javasim: no result for operator #" +
+                                  std::to_string(op_id));
+  }
+  Dataset out = std::move(it->second);
+  results_.erase(it);
+  // Kernels reserve for their input's size, and a moved result would keep
+  // that slack for as long as its holder does (result caches weigh a
+  // Dataset by its rows). Trimming moves the records; it copies no values.
+  out.mutable_records().shrink_to_fit();
+  return out;
+}
+
 Result<Dataset> DatasetWalker::EvalOperator(
     const PhysicalOperator& op, const std::vector<const Dataset*>& inputs) {
   static const Dataset* const kEmpty = new Dataset();
@@ -236,9 +251,7 @@ Result<Dataset> DatasetWalker::EvalLoop(const PhysicalOperator& op,
       state = data;
       continue;
     }
-    RHEEM_ASSIGN_OR_RETURN(const Dataset* next,
-                           body_walker.ResultOf(body->sink()->id()));
-    state = *next;
+    RHEEM_ASSIGN_OR_RETURN(state, body_walker.TakeResult(body->sink()->id()));
   }
   return state;
 }

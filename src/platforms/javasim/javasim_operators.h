@@ -38,6 +38,10 @@ class DatasetWalker {
 
   Result<const Dataset*> ResultOf(int op_id) const;
 
+  /// Moves an operator's result out of the walker; a later ResultOf or
+  /// TakeResult for it fails.
+  Result<Dataset> TakeResult(int op_id);
+
  private:
   /// Resolves one upstream operator's output (stage-local or external).
   Result<const Dataset*> ResolveInput(const Operator& producer,

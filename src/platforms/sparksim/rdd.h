@@ -30,8 +30,10 @@ class Rdd {
 
   std::size_t TotalRows() const;
 
-  /// Concatenates all partitions in order (a driver-side collect).
-  Dataset Gather() const;
+  /// Concatenates all partitions in order (a driver-side collect). The
+  /// rvalue form moves the records out instead of copying them.
+  Dataset Gather() const&;
+  Dataset Gather() &&;
 
  private:
   std::vector<Dataset> partitions_;

@@ -8,6 +8,7 @@
 #include "core/operators/iejoin.h"
 #include "core/plan/plan.h"
 #include "core/operators/kernels.h"
+#include "data/table_memo.h"
 #include "platforms/sparksim/shuffle.h"
 
 namespace rheem {
@@ -34,16 +35,12 @@ Status RddWalker::RunOps(const std::vector<Operator*>& ops,
         return Status::InvalidPlan("sparksim: malformed fused chain at " +
                                    head->name());
       }
-      RHEEM_ASSIGN_OR_RETURN(const Rdd* in,
-                             ResolveInput(*head->inputs()[0], external, *head));
       const std::vector<kernels::FusedStep> steps = fusion::StepsFor(unit.ops);
       TraceSpan chain_span("chain", "sparksim");
       chain_span.AddTag("operators", static_cast<int64_t>(unit.ops.size()));
       chain_span.AddTag("tail", tail->name());
       RHEEM_ASSIGN_OR_RETURN(
-          Rdd out, MapPartitions(*in, [this, &steps](const Dataset& d, std::size_t) {
-            return kernels::FusedPipeline(steps, d, opts_);
-          }));
+          Rdd out, RunChain(*head->inputs()[0], external, *head, steps));
       results_[tail->id()] = std::move(out);
       if (metrics_ != nullptr) {
         metrics_->fused_operators += static_cast<int64_t>(unit.ops.size());
@@ -57,6 +54,16 @@ Status RddWalker::RunOps(const std::vector<Operator*>& ops,
     auto* op = dynamic_cast<PhysicalOperator*>(base);
     if (op == nullptr) {
       return Status::InvalidPlan("sparksim can only execute physical operators");
+    }
+    if (op->kind() == OpKind::kCollectionSource) {
+      // Fused chains scan the table in place; it is split into partitions
+      // only for a consumer that reads partitions, or as a stage output.
+      tables_[op->id()] =
+          static_cast<const CollectionSourceOp&>(*op).shared_data();
+      if (preserve.count(op->id()) != 0) {
+        RHEEM_RETURN_IF_ERROR(ResolveInput(*op, external, *op).status());
+      }
+      continue;
     }
     std::vector<const Rdd*> inputs;
     inputs.reserve(op->inputs().size());
@@ -73,11 +80,57 @@ Status RddWalker::RunOps(const std::vector<Operator*>& ops,
   return Status::OK();
 }
 
+Result<Rdd> RddWalker::RunChain(const Operator& producer,
+                                const RddBindings& external,
+                                const Operator& head,
+                                const std::vector<kernels::FusedStep>& steps) {
+  kernels::KernelOptions chain_opts = opts_;
+  auto table = tables_.find(producer.id());
+  if (table != tables_.end() && kernels::FusedChainIsColumnar(steps, opts_)) {
+    const std::shared_ptr<const Batch> batch =
+        TableMemo::Columnar(table->second);
+    if (batch != nullptr) {
+      // Each task drives its row range of the table's shared Batch: the
+      // ranges Rdd::FromDataset would cut, so partitions match row for row.
+      const auto ranges =
+          Dataset::SplitRanges(batch->num_rows(), num_partitions_);
+      std::vector<Dataset> out(ranges.size());
+      RHEEM_RETURN_IF_ERROR(scheduler_->RunTasks(
+          ranges.size(), metrics_, [&](std::size_t i) -> Status {
+            RHEEM_ASSIGN_OR_RETURN(
+                out[i], kernels::FusedPipelineRange(steps, *batch,
+                                                    ranges[i].first,
+                                                    ranges[i].second, opts_));
+            return Status::OK();
+          }));
+      return Rdd(std::move(out));
+    }
+    // The table has no columnar form, and the memo will not try again: run
+    // the row engine rather than attempt a conversion per partition per job.
+    chain_opts.columnar = false;
+  }
+  RHEEM_ASSIGN_OR_RETURN(const Rdd* in, ResolveInput(producer, external, head));
+  return MapPartitions(*in, [&steps, &chain_opts](const Dataset& d,
+                                                  std::size_t) {
+    return kernels::FusedPipeline(steps, d, chain_opts);
+  });
+}
+
 Result<const Rdd*> RddWalker::ResolveInput(const Operator& producer,
                                            const RddBindings& external,
-                                           const Operator& consumer) const {
+                                           const Operator& consumer) {
   auto it = results_.find(producer.id());
   if (it != results_.end()) return &it->second;
+  auto table = tables_.find(producer.id());
+  if (table != tables_.end()) {
+    // The one copy of a source table: its split into partitions.
+    TraceSpan split_span("chain", "sparksim");
+    split_span.AddTag("operators", static_cast<int64_t>(1));
+    split_span.AddTag("tail", producer.name());
+    Rdd& rdd = results_[producer.id()];
+    rdd = Rdd::FromDataset(*table->second, num_partitions_);
+    return &rdd;
+  }
   auto ext = external.find(producer.id());
   if (ext == external.end()) {
     return Status::ExecutionError("sparksim: missing input #" +
@@ -94,6 +147,17 @@ Result<const Rdd*> RddWalker::ResultOf(int op_id) const {
                                   std::to_string(op_id));
   }
   return &it->second;
+}
+
+Result<Rdd> RddWalker::TakeResult(int op_id) {
+  auto it = results_.find(op_id);
+  if (it == results_.end()) {
+    return Status::ExecutionError("sparksim: no result for operator #" +
+                                  std::to_string(op_id));
+  }
+  Rdd out = std::move(it->second);
+  results_.erase(it);
+  return out;
 }
 
 Result<Rdd> RddWalker::MapPartitions(
@@ -116,8 +180,7 @@ Result<Rdd> RddWalker::EvalOperator(const PhysicalOperator& op,
   const Rdd& in0 = inputs.empty() ? *kEmpty : *inputs[0];
   switch (op.kind()) {
     case OpKind::kCollectionSource:
-      return Rdd::FromDataset(
-          static_cast<const CollectionSourceOp&>(op).data(), num_partitions_);
+      return Status::Internal("sparksim: RunOps reads collection sources");
     case OpKind::kStageInput:
     case OpKind::kLoopState:
     case OpKind::kLoopData:
@@ -394,7 +457,7 @@ Result<Rdd> RddWalker::EvalLoop(const PhysicalOperator& op, const Rdd& state0,
     RddBindings bindings;
     if (state_marker != nullptr) bindings[state_marker->id()] = &state;
     if (data_marker != nullptr) bindings[data_marker->id()] = &data;
-    RddWalker body_walker(num_partitions_, scheduler_, metrics_, fuse_);
+    RddWalker body_walker(num_partitions_, scheduler_, metrics_, fuse_, opts_);
     body_walker.next_zip_id_ = next_zip_id_;
     // The loop sink feeds the next iteration: it must stay addressable.
     std::unordered_set<int> body_preserve;
@@ -407,9 +470,7 @@ Result<Rdd> RddWalker::EvalLoop(const PhysicalOperator& op, const Rdd& state0,
       state = data;
       continue;
     }
-    RHEEM_ASSIGN_OR_RETURN(const Rdd* next,
-                           body_walker.ResultOf(body->sink()->id()));
-    state = *next;
+    RHEEM_ASSIGN_OR_RETURN(state, body_walker.TakeResult(body->sink()->id()));
   }
   return state;
 }

@@ -2,6 +2,7 @@
 #define RHEEM_PLATFORMS_SPARKSIM_SPARKSIM_OPERATORS_H_
 
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -29,7 +30,8 @@ using RddBindings = std::unordered_map<int, const Rdd*>;
 /// task's true CPU work. With `fuse` enabled, consecutive narrow
 /// record-at-a-time operators (Map/Filter/FlatMap/Project) execute as one
 /// fused pass per partition — shuffle boundaries are never crossed because
-/// key-based operators are not fusable.
+/// key-based operators are not fusable. A columnar chain fed by a collection
+/// source scans the table in place, without splitting it into partitions.
 class RddWalker {
  public:
   /// `task_opts` governs the kernels invoked inside scheduler tasks. It must
@@ -53,10 +55,23 @@ class RddWalker {
 
   Result<const Rdd*> ResultOf(int op_id) const;
 
+  /// Moves an operator's result out of the walker; a later ResultOf or
+  /// TakeResult for it fails.
+  Result<Rdd> TakeResult(int op_id);
+
  private:
+  /// Resolves one upstream operator's output (stage-local or external). A
+  /// source table is split into partitions here, on its first such read.
   Result<const Rdd*> ResolveInput(const Operator& producer,
                                   const RddBindings& external,
-                                  const Operator& consumer) const;
+                                  const Operator& consumer);
+
+  /// Runs a fused chain over `producer`'s output. A source table with a
+  /// columnar form is scanned in place when the chain runs columnar: each
+  /// task drives one row range of the table's shared Batch (TableMemo).
+  Result<Rdd> RunChain(const Operator& producer, const RddBindings& external,
+                       const Operator& head,
+                       const std::vector<kernels::FusedStep>& steps);
 
   Result<Rdd> EvalOperator(const PhysicalOperator& op,
                            const std::vector<const Rdd*>& inputs);
@@ -74,6 +89,8 @@ class RddWalker {
   bool fuse_ = false;
   kernels::KernelOptions opts_ = kernels::KernelOptions::Serial();
   std::map<int, Rdd> results_;
+  /// Source tables not (yet) split into partitions: op id -> shared table.
+  std::map<int, std::shared_ptr<const Dataset>> tables_;
   int64_t next_zip_id_ = 0;
 };
 
