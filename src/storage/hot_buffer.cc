@@ -1,6 +1,7 @@
 #include "storage/hot_buffer.h"
 
 #include "common/metrics.h"
+#include "data/table_memo.h"
 
 namespace rheem {
 namespace storage {
@@ -13,6 +14,7 @@ HotDataBuffer::HotDataBuffer(StorageManager* manager, int64_t capacity_bytes)
 
 HotDataBuffer::~HotDataBuffer() {
   manager_->RemoveWriteObserver(observer_id_);
+  for (const auto& [name, entry] : cache_) TableMemo::Forget(entry.data);
 }
 
 Result<std::shared_ptr<const Dataset>> HotDataBuffer::Load(
@@ -27,7 +29,21 @@ Result<std::shared_ptr<const Dataset>> HotDataBuffer::Load(
       lru_.push_front(dataset);
       it->second.lru_pos = lru_.begin();
       CountIfEnabled(registry.counter("hot_buffer.hits"), 1);
-      return it->second.data;
+      std::shared_ptr<const Dataset> data = it->second.data;
+      // A columnar form built since the last load counts from now on. When
+      // the two forms outgrow the capacity, the LRU tail goes first, and
+      // this entry too if it alone does not fit.
+      const int64_t columnar = TableMemo::ColumnarBytes(data);
+      if (columnar != it->second.columnar_bytes) {
+        resident_bytes_ += columnar - it->second.columnar_bytes;
+        it->second.bytes += columnar - it->second.columnar_bytes;
+        it->second.columnar_bytes = columnar;
+        EvictUntilFitsLocked(0);
+        if (registry.enabled()) {
+          registry.gauge("hot_buffer.resident_bytes")->Set(resident_bytes_);
+        }
+      }
+      return data;
     }
     ++misses_;
   }
@@ -44,6 +60,7 @@ Result<std::shared_ptr<const Dataset>> HotDataBuffer::Load(
     if (it != cache_.end()) {  // raced with another miss: replace
       resident_bytes_ -= it->second.bytes;
       lru_.erase(it->second.lru_pos);
+      TableMemo::Forget(it->second.data);
       cache_.erase(it);
     }
     EvictUntilFitsLocked(bytes);
@@ -67,6 +84,7 @@ void HotDataBuffer::Invalidate(const std::string& dataset) {
   if (it == cache_.end()) return;
   resident_bytes_ -= it->second.bytes;
   lru_.erase(it->second.lru_pos);
+  TableMemo::Forget(it->second.data);
   cache_.erase(it);
   MetricsRegistry& registry = MetricsRegistry::Global();
   if (registry.enabled()) {
@@ -77,6 +95,7 @@ void HotDataBuffer::Invalidate(const std::string& dataset) {
 
 void HotDataBuffer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, entry] : cache_) TableMemo::Forget(entry.data);
   cache_.clear();
   lru_.clear();
   resident_bytes_ = 0;
@@ -112,6 +131,7 @@ void HotDataBuffer::EvictUntilFitsLocked(int64_t incoming_bytes) {
     auto it = cache_.find(victim);
     if (it != cache_.end()) {
       resident_bytes_ -= it->second.bytes;
+      TableMemo::Forget(it->second.data);
       cache_.erase(it);
     }
     lru_.pop_back();
